@@ -223,8 +223,6 @@ def _build_parser():
     common.add_argument("--out", help="write the result file here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=20250811)
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; searches run deterministically")
     common.add_argument("--budget", type=int, default=2_000_000,
                         help="node cap for exhaustive searches")
     common.add_argument("--n-cap", type=int, default=3, dest="n_cap")

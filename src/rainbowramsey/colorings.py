@@ -159,13 +159,19 @@ def _rainbow_strong_antichain(members, color_of, k):
     if len(by_color) < k:
         return None
     color_order = sorted(by_color, key=lambda c: (len(by_color[c]), c))
-    inc = [0] * m
-    for i in range(m):
-        mi = members[i]
-        for j in range(i + 1, m):
-            if not are_comparable(mi, members[j]):
-                inc[i] |= 1 << j
-                inc[j] |= 1 << i
+    inc = {}
+
+    def inc_row(i):
+        """Bitset of the members incomparable to member i, built on first use."""
+        row = inc.get(i)
+        if row is None:
+            mi = members[i]
+            row = 0
+            for j, mj in enumerate(members):
+                if mi & ~mj and mj & ~mi:
+                    row |= 1 << j
+            inc[i] = row
+        return row
 
     chosen = []
 
@@ -177,7 +183,7 @@ def _rainbow_strong_antichain(members, color_of, k):
         for i in by_color[color_order[pos]]:
             if allowed >> i & 1:
                 chosen.append(i)
-                if rec(pos + 1, allowed & inc[i], skips_left):
+                if len(chosen) == k or rec(pos + 1, allowed & inc_row(i), skips_left):
                     return True
                 chosen.pop()
         if skips_left > 0 and rec(pos + 1, allowed, skips_left - 1):

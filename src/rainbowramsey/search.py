@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .lattice import all_masks, are_comparable, canonical_key, full_mask
+from .lattice import all_masks, canonical_key, full_mask
 from .lubell import binom, lubell_interval
 from .colorings import Coloring, _rainbow_strong_antichain
 from .posets import PosetPattern, standard_poset, _search_embedding
@@ -54,6 +54,7 @@ class SearchResult:
             "witness": None if self.witness is None else json.loads(self.witness.to_json()),
             "checked": {"n_min": self.checked[0], "n_max": self.checked[1]},
             "budget_exhausted": self.budget_exhausted,
+            "nodes": self.details.get("nodes"),
         }
 
 
@@ -71,6 +72,130 @@ class _Counter:
 
 
 # ---------------------------------------------------------------------------
+# per-n order tables over mask values
+# ---------------------------------------------------------------------------
+
+_SUPSET_BITS = {}
+_ORDER_BITS = {}
+
+
+def _superset_bitsets(n):
+    """bitset over mask values of the strict supersets of each mask."""
+    sups = _SUPSET_BITS.get(n)
+    if sups is None:
+        size = 1 << n
+        sups = [0] * size
+        for m in range(size - 1, -1, -1):
+            acc = 0
+            free = full_mask(n) & ~m
+            while free:
+                bit = free & -free
+                free ^= bit
+                child = m | bit
+                acc |= (1 << child) | sups[child]
+            sups[m] = acc
+        if n <= 12:
+            _SUPSET_BITS[n] = sups
+    return sups
+
+
+def _order_bitsets(n):
+    """(below, inc): bitsets over mask values of the strict subsets of
+    each mask and of the masks incomparable to it."""
+    tables = _ORDER_BITS.get(n)
+    if tables is None:
+        size = 1 << n
+        above = _superset_bitsets(n)
+        below = [0] * size
+        for m in range(1, size):
+            acc = 0
+            rest = m
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                child = m ^ bit
+                acc |= (1 << child) | below[child]
+            below[m] = acc
+        everything = (1 << size) - 1
+        inc = [everything & ~(below[m] | above[m] | 1 << m) for m in range(size)]
+        tables = (below, inc)
+        if n <= 8:
+            _ORDER_BITS[n] = tables
+    return tables
+
+
+def _bits_of(x):
+    while x:
+        bit = x & -x
+        x ^= bit
+        yield bit.bit_length() - 1
+
+
+# ---------------------------------------------------------------------------
+# anchored pattern checks: sets are colored in canonical order, so the
+# newest set x sits on the highest level colored so far and a new copy
+# must use x as the image of a maximal element
+# ---------------------------------------------------------------------------
+
+class _MonoClass:
+    """One color class of a canonical-order search, free of a copy of its
+    pattern.  For a chain C_l a copy through x is a height test: h(x) =
+    1 + max h over the strict subsets of x in the class, and a copy exists
+    iff h(x) >= l.  layers[j] is the bitset of the class's sets of height
+    > j.  Other patterns re-run the copy search on the class."""
+
+    __slots__ = ("pattern", "mode", "below", "layers", "members")
+
+    def __init__(self, pattern, mode, below):
+        self.pattern = pattern
+        self.mode = mode
+        self.below = below
+        self.layers = [0] * (pattern.size - 1) if pattern.is_chain() else None
+        self.members = []
+
+    def add(self, x):
+        """Put x in the class and return True, or leave the class as it
+        was and return False when x completes a copy of the pattern."""
+        layers = self.layers
+        if layers is None:
+            self.members.append(x)
+            if _search_embedding(tuple(self.members), self.pattern, self.mode, False) is None:
+                return True
+            self.members.pop()
+            return False
+        below = self.below[x]
+        h = len(layers)
+        while h and not layers[h - 1] & below:
+            h -= 1
+        if h == len(layers):
+            return False
+        bit = 1 << x
+        for j in range(h + 1):
+            layers[j] |= bit
+        return True
+
+    def remove(self, x):
+        """Undo the last successful add(x)."""
+        layers = self.layers
+        if layers is None:
+            self.members.pop()
+            return
+        keep = ~(1 << x)
+        for j in range(len(layers)):
+            layers[j] &= keep
+
+
+def _rainbow_antichain_through(x, k, colored, same, inc, color_of):
+    """A rainbow strong A_k through the newest set x, given that the sets
+    colored before x hold none: a rainbow strong A_{k-1} among the colored
+    sets incomparable to x whose color differs from x's.  colored is the
+    bitset of the sets colored before x, same that of x's color class;
+    returns the k-1 other sets or None."""
+    cand = inc[x] & colored & ~same
+    return _rainbow_strong_antichain(tuple(_bits_of(cand)), color_of, k - 1)
+
+
+# ---------------------------------------------------------------------------
 # ground-set permutation symmetry (checked at complete-level boundaries)
 # ---------------------------------------------------------------------------
 
@@ -78,27 +203,30 @@ def _canonical_masks(n):
     return sorted(all_masks(n), key=canonical_key)
 
 
-def _perm_mask(mask, perm):
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << perm[i]
-        mask >>= 1
-        i += 1
-    return out
+_PERM_MAPS = {}
 
 
-def _perm_position_maps(n, masks):
+def _perm_position_maps(n):
     """For each nonidentity permutation of the ground set, position t of the
     canonical order maps to the position of the permuted mask (levels are
     preserved, so boundaries at complete levels are permutation-stable)."""
-    pos = {m: t for t, m in enumerate(masks)}
-    maps = []
-    for perm in permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        maps.append(tuple(pos[_perm_mask(m, perm)] for m in masks))
+    maps = _PERM_MAPS.get(n)
+    if maps is None:
+        masks = _canonical_masks(n)
+        pos = [0] * (1 << n)
+        for t, m in enumerate(masks):
+            pos[m] = t
+        image = [0] * (1 << n)
+        maps = []
+        for perm in permutations(range(n)):
+            if perm == tuple(range(n)):
+                continue
+            for m in range(1, 1 << n):
+                low = m & -m
+                image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+            maps.append(tuple([pos[image[m]] for m in masks]))
+        if n <= 6:
+            _PERM_MAPS[n] = maps
     return maps
 
 
@@ -121,17 +249,48 @@ def _rgs(seq):
     return out
 
 
-def _prefix_is_orbit_min(assign, t, perm_maps, rename):
+def _prefix_is_orbit_min(assign, t, tied, rename, ties_out):
     """True iff the length-t prefix is lexicographically minimal in its
-    permutation orbit (colors renamed first-seen when rename is set)."""
-    prefix = assign[:t]
-    base = _rgs(prefix) if rename else prefix
-    for pmap in perm_maps:
-        other = [assign[pmap[i]] for i in range(t)]
+    permutation orbit (colors renamed first-seen when rename is set).
+
+    tied = (s, pmaps) holds, for an earlier complete-level boundary s of
+    the same prefix, the position maps of the nonidentity permutations
+    whose permuted prefix equals the prefix through s; every other
+    permutation is larger before s and stays larger.  Each permuted prefix
+    is built on from s one element at a time and compared up to the first
+    difference; the maps of those equal through t go to ties_out.
+    """
+    s, pmaps = tied
+    base = _rgs(assign[:t]) if rename else assign[:t]
+    # a permuted prefix equal to the base through s names its colors at
+    # the positions where the base shows each color first
+    firsts = []
+    if rename:
+        for j in range(s):
+            if base[j] == len(firsts):
+                firsts.append(j)
+    for pmap in pmaps:
         if rename:
-            other = _rgs(other)
-        if other < base:
-            return False
+            remap = {assign[pmap[j]]: label for label, j in enumerate(firsts)}
+            for i in range(s, t):
+                c = remap.setdefault(assign[pmap[i]], len(remap))
+                b = base[i]
+                if c != b:
+                    if c < b:
+                        return False
+                    break
+            else:
+                ties_out.append(pmap)
+        else:
+            for i in range(s, t):
+                c = assign[pmap[i]]
+                b = base[i]
+                if c != b:
+                    if c < b:
+                        return False
+                    break
+            else:
+                ties_out.append(pmap)
     return True
 
 
@@ -146,30 +305,32 @@ def _ramsey_avoiding(n, patterns, mode, counter, symmetry):
     total = len(masks)
     identical = all(p == patterns[0] for p in patterns)
     use_sym = symmetry and n >= 4
-    perm_maps = _perm_position_maps(n, masks) if use_sym else []
     boundaries = _level_boundaries(n, masks) if use_sym else set()
-    classes = [[] for _ in range(k)]
+    below = _order_bitsets(n)[0]
+    classes = [_MonoClass(p, mode, below) for p in patterns]
     assign = [0] * total
 
-    def place(t):
+    def place(t, used, tied):
         counter.tick()
         if t == total:
             return True
-        if use_sym and t in boundaries and not _prefix_is_orbit_min(
-                assign, t, perm_maps, identical):
-            return False
-        used = max(assign[:t], default=-1)
+        if use_sym and t in boundaries:
+            ties = []
+            if not _prefix_is_orbit_min(assign, t, tied, identical, ties):
+                return False
+            tied = (t, ties)
+        x = masks[t]
         cmax = min(k - 1, used + 1) if identical else k - 1
         for c in range(cmax + 1):
-            classes[c].append(masks[t])
+            cls = classes[c]
             assign[t] = c
-            if _search_embedding(tuple(classes[c]), patterns[c], mode, False) is None:
-                if place(t + 1):
+            if cls.add(x):
+                if place(t + 1, max(used, c), tied):
                     return True
-            classes[c].pop()
+                cls.remove(x)
         return False
 
-    if place(0):
+    if place(0, -1, (0, _perm_position_maps(n)) if use_sym else None):
         return Coloring(n, list(zip(masks, assign)), total=True)
     return None
 
@@ -226,51 +387,64 @@ def _rr_avoiding(n, p, q, mode, counter, symmetry):
 
     Enumerates set partitions (restricted growth) with early pruning: a
     partial coloring already containing either pattern can never avoid.
+    Every prefix reached holds neither pattern, so only copies through the
+    newest set are looked for.
     """
     masks = _canonical_masks(n)
     total = len(masks)
     use_sym = symmetry and n >= 4
-    perm_maps = _perm_position_maps(n, masks) if use_sym else []
     boundaries = _level_boundaries(n, masks) if use_sym else set()
+    below, inc = _order_bitsets(n)
     assign = [0] * total
-    classes = {}
-    color_of = {}
+    classes = []
+    class_bits = []
+    color_of = [None] * (1 << n)
     q_size = q.size
     q_antichain = q.is_antichain()
+    prefix_bits = [0] * (total + 1)   # the sets colored before position t
+    for t, m in enumerate(masks):
+        prefix_bits[t + 1] = prefix_bits[t] | 1 << m
 
-    def has_rainbow_q(newly_colored):
-        colored = [m for m in masks[:newly_colored + 1]]
-        if len(set(color_of.values())) < q_size:
+    def has_rainbow_q(t, x, c, colors):
+        if colors < q_size:
             return False
         if q_antichain:
             if mode == "weak":
                 return True  # q_size distinct colors suffice for a weak antichain copy
-            return _rainbow_strong_antichain(tuple(colored), color_of.get, q_size) is not None
-        return _search_embedding(tuple(colored), q, mode, False,
-                                 color_of=color_of.get) is not None
+            return _rainbow_antichain_through(
+                x, q_size, prefix_bits[t], class_bits[c], inc,
+                color_of.__getitem__) is not None
+        return _search_embedding(tuple(masks[:t + 1]), q, mode, False,
+                                 color_of=color_of.__getitem__) is not None
 
-    def place(t):
+    def place(t, used, tied):
         counter.tick()
         if t == total:
             return True
-        if use_sym and t in boundaries and not _prefix_is_orbit_min(
-                assign, t, perm_maps, True):
-            return False
-        used = max(assign[:t], default=-1)
+        if use_sym and t in boundaries:
+            ties = []
+            if not _prefix_is_orbit_min(assign, t, tied, True, ties):
+                return False
+            tied = (t, ties)
+        x = masks[t]
+        bit = 1 << x
         for c in range(used + 2):
-            cls = classes.setdefault(c, [])
-            cls.append(masks[t])
-            color_of[masks[t]] = c
+            if c == len(classes):
+                classes.append(_MonoClass(p, mode, below))
+                class_bits.append(0)
+            cls = classes[c]
             assign[t] = c
-            ok_mono = _search_embedding(tuple(cls), p, mode, False) is None
-            if ok_mono and not has_rainbow_q(t):
-                if place(t + 1):
-                    return True
-            cls.pop()
-            del color_of[masks[t]]
+            if cls.add(x):
+                color_of[x] = c
+                if not has_rainbow_q(t, x, c, max(used, c) + 1):
+                    class_bits[c] |= bit
+                    if place(t + 1, max(used, c), tied):
+                        return True
+                    class_bits[c] ^= bit
+                cls.remove(x)
         return False
 
-    if place(0):
+    if place(0, -1, (0, _perm_position_maps(n)) if use_sym else None):
         return Coloring(n, list(zip(masks, assign)), total=True)
     return None
 
@@ -304,27 +478,6 @@ def rainbow_ramsey(p: PosetPattern, q: PosetPattern, mode: str = "weak",
 # F(n,k) and F'(n,k): size thresholds for rainbow strong antichains
 # ---------------------------------------------------------------------------
 
-def _comparability_bitsets(n):
-    """comp[i] = bitset over mask values comparable (incl. equal) to i."""
-    size = 1 << n
-    comp = [0] * size
-    for a in range(size):
-        bits = 1 << a
-        for b in range(a + 1, size):
-            if are_comparable(a, b):
-                bits |= 1 << b
-                comp[b] |= 1 << a
-        comp[a] |= bits
-    return comp
-
-
-def _bits_of(x):
-    while x:
-        bit = x & -x
-        x ^= bit
-        yield bit.bit_length() - 1
-
-
 def _coloring_from_classes(n, class_masks, total=False):
     items = []
     for c, masks in enumerate(class_masks):
@@ -341,8 +494,8 @@ def _threshold2(n, partial):
     only help: domination).
     """
     size = 1 << n
-    comp = _comparability_bitsets(n)
     everything = (1 << size) - 1
+    comp = [everything ^ row for row in _order_bitsets(n)[1]]
     best = -1
     best_pair = (0, 0)
     for h1 in range(1 << size):
@@ -368,89 +521,80 @@ def _threshold2(n, partial):
     return best, witness
 
 
-def _incomparable_triples(n):
-    size = 1 << n
-    trip = []
-    for a in range(size):
-        for b in range(a + 1, size):
-            if are_comparable(a, b):
-                continue
-            for c in range(b + 1, size):
-                if not are_comparable(a, c) and not are_comparable(b, c):
-                    trip.append((a, b, c))
-    return trip
-
-
 def _threshold3(n, partial, counter):
     """Exact F(n,3) / F'(n,3) by branch and bound over all 3-colorings.
 
     Maximizes the minimum class size over colorings with no rainbow strong
     A_3 (no incomparable triple in three distinct colors); colors are
     interchangeable, so restricted growth breaks the renaming symmetry.
+    Sets are placed in mask order, so a new rainbow triple goes through the
+    newest set x: a and b from the two other classes, both incomparable to
+    x and to each other.  Returns (max-min, witness, stopped); on a budget
+    stop the best coloring found so far, a lower bound, is returned.
     """
     size = 1 << n
-    masks = list(range(size))
-    triples = _incomparable_triples(n)
-    per_set = [[] for _ in range(size)]
-    for tr in triples:
-        for x in tr:
-            per_set[x].append(tr)
-    color = {}
+    inc = _order_bitsets(n)[1]
+    cls = [0, 0, 0]
     counts = [0, 0, 0]
     best = -1
-    best_classes = None
-    uncolored = -1 if partial else None
+    best_cls = None
+    # (color, colors used after it) per number of colors used so far
+    options = [[(c, max(used, c + 1)) for c in range(min(3, used + 1))]
+               for used in range(4)]
+    if partial:
+        for used, opts in enumerate(options):
+            opts.append((None, used))
 
-    def rainbow_through(x):
-        cx = color[x]
-        for (a, b, c) in per_set[x]:
-            got = {color.get(a), color.get(b), color.get(c)}
-            got.discard(None)
-            got.discard(uncolored)
-            if len(got) == 3:
-                return True
-        return False
-
-    def place(t):
-        nonlocal best, best_classes
+    def place(t, used):
+        nonlocal best, best_cls
         counter.tick()
         if t == size:
             v = min(counts)
             if v > best:
                 best = v
-                best_classes = [[m for m in masks if color.get(m) == c] for c in range(3)]
+                best_cls = cls[:]
             return
-        remaining = size - t
         # even giving every remaining set to the smallest class cannot help
-        if min(counts) + remaining <= best:
+        if min(counts) + size - t <= best:
             return
-        used = 1 + max((color[m] for m in masks[:t] if color[m] in (0, 1, 2)),
-                       default=-1)
-        options = list(range(min(3, used + 1)))
-        if partial:
-            options.append(uncolored)
-        for c in options:
-            color[masks[t]] = c
-            if c != uncolored:
-                counts[c] += 1
-            if c == uncolored or not rainbow_through(masks[t]):
-                place(t + 1)
-            if c != uncolored:
-                counts[c] -= 1
-            del color[masks[t]]
+        inc_t = inc[t]
+        for c, after in options[used]:
+            if c is None:
+                place(t + 1, after)
+                continue
+            # a rainbow triple through t: a and b from the two other classes
+            a_bits = inc_t & cls[c - 2]
+            if a_bits:
+                b_bits = inc_t & cls[c - 1]
+                while a_bits and not inc[(a_bits & -a_bits).bit_length() - 1] & b_bits:
+                    a_bits &= a_bits - 1
+                if a_bits:
+                    continue
+            counts[c] += 1
+            cls[c] |= 1 << t
+            place(t + 1, after)
+            cls[c] ^= 1 << t
+            counts[c] -= 1
 
-    place(0)
+    try:
+        place(0, 0)
+        stopped = False
+    except BudgetExceeded:
+        stopped = True
     witness = None
-    if best_classes is not None:
-        witness = _coloring_from_classes(n, best_classes, total=not partial)
-    return best, witness
+    if best_cls is not None:
+        witness = _coloring_from_classes(n, [list(_bits_of(b)) for b in best_cls],
+                                         total=not partial)
+    return best, witness, stopped
 
 
 def threshold_F(n: int, k: int, partial: bool,
                 budget: int | None = 50_000_000) -> SearchResult:
     """Exact F(n,k) (total colorings) or F'(n,k) (partial colorings):
     the least m such that minimum class size >= m forces a rainbow strong
-    A_k.  Returns max-min + 1 with an extremal witness."""
+    A_k.  Returns max-min + 1 with an extremal witness.  A budget stop
+    decides nothing (checked=(n, n-1)) and reports ">m" with the best
+    coloring found, whose minimum class size m is a lower bound."""
     name = f"F'({n},{k})" if partial else f"F({n},{k})"
     if k == 2:
         if n > 4:
@@ -462,14 +606,14 @@ def threshold_F(n: int, k: int, partial: bool,
         if n > 4:
             raise SearchError("threshold_F with k=3 is capped at n=4")
         counter = _Counter(budget)
-        try:
-            v, witness = _threshold3(n, partial, counter)
-        except BudgetExceeded:
-            return SearchResult(name, None, "branch-bound", None, (n, n),
-                                budget_exhausted=True,
-                                details={"nodes": counter.nodes})
+        v, witness, stopped = _threshold3(n, partial, counter)
+        details = {"max_min": v, "nodes": counter.nodes}
+        if stopped:
+            value = None if witness is None else f">{v}"
+            return SearchResult(name, value, "branch-bound", witness, (n, n - 1),
+                                budget_exhausted=True, details=details)
         return SearchResult(name, v + 1, "branch-bound", witness, (n, n),
-                            details={"max_min": v, "nodes": counter.nodes})
+                            details=details)
     raise SearchError("threshold_F supports k in {2, 3}")
 
 
@@ -793,29 +937,6 @@ def fork_f_small(r: int, k: int, n_cap: int = 4,
 # ---------------------------------------------------------------------------
 # independent fork oracle over explicit level blocks
 # ---------------------------------------------------------------------------
-
-_SUPSET_BITS = {}
-
-
-def _superset_bitsets(n):
-    """bitset over mask values of the strict supersets of each mask."""
-    sups = _SUPSET_BITS.get(n)
-    if sups is None:
-        size = 1 << n
-        sups = [0] * size
-        for m in range(size - 1, -1, -1):
-            acc = 0
-            free = full_mask(n) & ~m
-            while free:
-                bit = free & -free
-                free ^= bit
-                child = m | bit
-                acc |= (1 << child) | sups[child]
-            sups[m] = acc
-        if n <= 12:
-            _SUPSET_BITS[n] = sups
-    return sups
-
 
 def fork_block_check_naive(n: int, lo: int, hi: int, r: int) -> bool:
     """Weak V_r inside levels lo..hi of B_n by explicit superset counting

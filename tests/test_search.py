@@ -1,15 +1,24 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from rainbowramsey.lattice import all_masks
+from rainbowramsey.lattice import Family, all_masks, canonical_key
 from rainbowramsey.lubell import binom
 from rainbowramsey.corechain import comparability
-from rainbowramsey.posets import find_copy, poset_by_name, standard_poset
-from rainbowramsey.colorings import Coloring, find_pattern, validate_witness
+from rainbowramsey.posets import find_copy, find_copy_naive, poset_by_name, standard_poset
+from rainbowramsey.colorings import (
+    Coloring,
+    _rainbow_strong_antichain,
+    find_pattern,
+    validate_witness,
+)
 from rainbowramsey.search import (
     SearchError,
+    _MonoClass,
+    _order_bitsets,
+    _rainbow_antichain_through,
     fork_can_avoid,
     fork_can_avoid_naive,
     fork_f_small,
@@ -246,6 +255,8 @@ def test_search_result_jsonable():
     obj = res.to_jsonable()
     assert obj["value"] == 2 and obj["checked"] == {"n_min": 0, "n_max": 2}
     assert obj["witness"]["n"] == 1
+    assert obj["nodes"] == res.details["nodes"] > 0
+    assert two_color_partial_exact(4, "size").to_jsonable()["nodes"] is None
 
 
 def _ramsey2_literal(n, p1, p2):
@@ -313,3 +324,121 @@ def test_two_color_cap_error():
         two_color_partial_exact(41, "size")
     with pytest.raises(SearchError):
         two_color_partial_exact(0, "mass")
+
+
+# --- anchored checks, pinned search trees, budget stops ---------------------
+
+def _canonical(n):
+    return sorted(all_masks(n), key=canonical_key)
+
+
+def test_anchored_mono_check_matches_naive():
+    # seeded random canonical-order partial colorings: a set is refused by
+    # its class exactly when the all-injections oracle finds a copy in the
+    # class with it (each class stays copy-free, as in the searches)
+    rng = random.Random(20240611)
+    patterns = [standard_poset("chain", l) for l in (1, 2, 3, 4)] + [V2, poset_by_name("A2")]
+    refused = 0
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        pattern = rng.choice(patterns)
+        if n == 4 and pattern.size > 3:
+            continue  # keeps the oracle's injection count small
+        mode = rng.choice(("weak", "strong"))
+        below = _order_bitsets(n)[0]
+        k = rng.randint(1, 3)
+        classes = [_MonoClass(pattern, mode, below) for _ in range(k)]
+        members = [[] for _ in range(k)]
+        for x in _canonical(n):
+            c = rng.randrange(k + 1)
+            if c == k:
+                continue  # left uncolored
+            free = find_copy_naive(Family.make(n, members[c] + [x]), pattern, mode) is None
+            assert classes[c].add(x) == free
+            refused += not free
+            if free and rng.random() < 0.2:
+                classes[c].remove(x)  # undo, as the search does on backtracking
+            elif free:
+                members[c].append(x)
+    assert refused > 20
+
+
+def test_anchored_rainbow_check_matches_unanchored():
+    # a rainbow strong A_k through the newest set is found exactly when the
+    # unanchored search finds one among all colored sets
+    rng = random.Random(8128)
+    found = 0
+    for _ in range(80):
+        n = rng.randint(2, 4)
+        k = rng.randint(1, 4)
+        ncolors = rng.randint(max(1, k - 1), k + 2)
+        inc = _order_bitsets(n)[1]
+        color = {}
+        colored = 0
+        class_bits = [0] * ncolors
+        for x in _canonical(n):
+            c = rng.randrange(ncolors + 1)
+            if c == ncolors:
+                continue  # left uncolored
+            before = tuple(m for m in _canonical(n) if m in color)
+            color[x] = c
+            through = _rainbow_antichain_through(x, k, colored, class_bits[c], inc, color.get)
+            whole = _rainbow_strong_antichain(before + (x,), color.get, k)
+            assert (through is None) == (whole is None)
+            if through is not None:
+                found += 1
+                copy = through + (x,)
+                assert len({color[m] for m in copy}) == k
+                assert all(a & ~b and b & ~a for a in copy for b in copy if a != b)
+                del color[x]  # refused: the colored sets stay copy-free
+                continue
+            colored |= 1 << x
+            class_bits[c] |= 1 << x
+    assert found > 20
+
+
+def _digest(col):
+    return hashlib.sha256(col.to_json().encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("run, value, nodes, witness", [
+    (lambda sym: ramsey([C3, C3], "weak", 4, symmetry=sym), 4, (231, 398), "bc3629ecffa3f604"),
+    (lambda sym: rainbow_ramsey(C2, A3, "strong", 5, symmetry=sym), 5, (88, 99),
+     "a4523f58c21297e3"),
+    (lambda sym: rainbow_ramsey(C3, C3, "weak", 4, symmetry=sym), 4, (729, 1332),
+     "bc3629ecffa3f604"),
+], ids=["R(C3,C3)", "RR(C2,A3) strong", "RR(C3,C3) weak"])
+def test_pinned_search_trees(run, value, nodes, witness):
+    # the anchored checks prune exactly what the full copy searches did:
+    # same node counts, values and witnesses, symmetry on and off
+    for sym, expect_nodes in zip((True, False), nodes):
+        res = run(sym)
+        assert (res.value, res.details["nodes"], _digest(res.witness)) == (value, expect_nodes, witness)
+
+
+@pytest.mark.parametrize("partial, nodes, witness", [
+    (False, 10_344, "54ef28b3dabcfbbf"),
+    (True, 916_623, "6812d0731b9b8186"),
+], ids=["F(4,3)", "F'(4,3)"])
+def test_pinned_threshold3_trees(partial, nodes, witness):
+    res = threshold_F(4, 3, partial)
+    assert (res.value, res.details, _digest(res.witness)) == (
+        6, {"max_min": 5, "nodes": nodes}, witness)
+
+
+def test_threshold3_budget_stop_keeps_incumbent():
+    res = threshold_F(4, 3, partial=True, budget=60_000)
+    assert res.budget_exhausted
+    assert res.checked == (4, 3)  # nothing decided at n = 4
+    m = res.details["max_min"]
+    assert res.value == f">{m}" and res.details["nodes"] == 60_001
+    w = res.witness
+    assert w is not None and w.ground == 4 and not w.total
+    assert min(w.class_sizes()) == m and w.num_colors == 3
+    # F has no mono pattern: C6 is longer than any chain of B_4
+    assert validate_witness(w, standard_poset("chain", 6), A3, "weak", "strong").avoided
+    obj = res.to_jsonable()
+    assert obj["value"] == f">{m}" and obj["nodes"] == 60_001
+    # a budget too small to reach a full coloring has no incumbent
+    res = threshold_F(4, 3, partial=True, budget=5)
+    assert res.value is None and res.witness is None and res.checked == (4, 3)
