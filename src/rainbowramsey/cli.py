@@ -53,14 +53,21 @@ def _jsonable(value):
     return value
 
 
+def _read_text(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
 def _read_family(path: str) -> Family:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = _read_text(path)
     stripped = text.lstrip()
     return Family.from_json(text) if stripped.startswith("{") else Family.from_text(text)
 
 
 def _read_coloring(path: str) -> Coloring:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = json.loads(text)

@@ -27,11 +27,7 @@ def binom(n: int, k: int) -> int:
 
 def lubell_mass(fam: Family) -> Fraction:
     """lambda_n(F) = sum over F in fam of 1 / C(n, |F|), exactly."""
-    n = fam.ground
-    total = Fraction(0)
-    for m in fam.members:
-        total += Fraction(1, binom(n, m.bit_count()))
-    return total
+    return lubell_mass_in(fam.ground, fam.members)
 
 
 def lubell_mass_in(ground: int, masks) -> Fraction:

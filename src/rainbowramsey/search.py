@@ -75,37 +75,16 @@ class _Counter:
 # per-n order tables over mask values
 # ---------------------------------------------------------------------------
 
-_SUPSET_BITS = {}
 _ORDER_BITS = {}
 
 
-def _superset_bitsets(n):
-    """bitset over mask values of the strict supersets of each mask."""
-    sups = _SUPSET_BITS.get(n)
-    if sups is None:
-        size = 1 << n
-        sups = [0] * size
-        for m in range(size - 1, -1, -1):
-            acc = 0
-            free = full_mask(n) & ~m
-            while free:
-                bit = free & -free
-                free ^= bit
-                child = m | bit
-                acc |= (1 << child) | sups[child]
-            sups[m] = acc
-        if n <= 12:
-            _SUPSET_BITS[n] = sups
-    return sups
-
-
 def _order_bitsets(n):
-    """(below, inc): bitsets over mask values of the strict subsets of
-    each mask and of the masks incomparable to it."""
+    """(below, above, inc): bitsets over mask values of the strict subsets
+    of each mask, of its strict supersets and of the masks incomparable
+    to it."""
     tables = _ORDER_BITS.get(n)
     if tables is None:
         size = 1 << n
-        above = _superset_bitsets(n)
         below = [0] * size
         for m in range(1, size):
             acc = 0
@@ -116,10 +95,20 @@ def _order_bitsets(n):
                 child = m ^ bit
                 acc |= (1 << child) | below[child]
             below[m] = acc
+        above = [0] * size
+        for m in range(size - 1, -1, -1):
+            acc = 0
+            free = full_mask(n) & ~m
+            while free:
+                bit = free & -free
+                free ^= bit
+                parent = m | bit
+                acc |= (1 << parent) | above[parent]
+            above[m] = acc
         everything = (1 << size) - 1
         inc = [everything & ~(below[m] | above[m] | 1 << m) for m in range(size)]
-        tables = (below, inc)
-        if n <= 8:
+        tables = (below, above, inc)
+        if n <= 12:
             _ORDER_BITS[n] = tables
     return tables
 
@@ -263,105 +252,31 @@ def _prefix_is_orbit_min(assign, t, tied, rename, ties_out):
     s, pmaps = tied
     base = _rgs(assign[:t]) if rename else assign[:t]
     # a permuted prefix equal to the base through s names its colors at
-    # the positions where the base shows each color first
+    # the positions where the base shows each color first; without
+    # renaming the color map is the identity
     firsts = []
     if rename:
         for j in range(s):
             if base[j] == len(firsts):
                 firsts.append(j)
+    else:
+        identity = {c: c for c in base}
     for pmap in pmaps:
-        if rename:
-            remap = {assign[pmap[j]]: label for label, j in enumerate(firsts)}
-            for i in range(s, t):
-                c = remap.setdefault(assign[pmap[i]], len(remap))
-                b = base[i]
-                if c != b:
-                    if c < b:
-                        return False
-                    break
-            else:
-                ties_out.append(pmap)
+        remap = {assign[pmap[j]]: label for label, j in enumerate(firsts)} if rename else identity
+        for i in range(s, t):
+            c = remap.setdefault(assign[pmap[i]], len(remap))
+            b = base[i]
+            if c != b:
+                if c < b:
+                    return False
+                break
         else:
-            for i in range(s, t):
-                c = assign[pmap[i]]
-                b = base[i]
-                if c != b:
-                    if c < b:
-                        return False
-                    break
-            else:
-                ties_out.append(pmap)
+            ties_out.append(pmap)
     return True
 
 
 # ---------------------------------------------------------------------------
-# R(P_1, ..., P_k): k-color Ramsey numbers
-# ---------------------------------------------------------------------------
-
-def _ramsey_avoiding(n, patterns, mode, counter, symmetry):
-    """An avoiding k-coloring of B_n (class i free of P_i) or None."""
-    k = len(patterns)
-    masks = _canonical_masks(n)
-    total = len(masks)
-    identical = all(p == patterns[0] for p in patterns)
-    use_sym = symmetry and n >= 4
-    boundaries = _level_boundaries(n, masks) if use_sym else set()
-    below = _order_bitsets(n)[0]
-    classes = [_MonoClass(p, mode, below) for p in patterns]
-    assign = [0] * total
-
-    def place(t, used, tied):
-        counter.tick()
-        if t == total:
-            return True
-        if use_sym and t in boundaries:
-            ties = []
-            if not _prefix_is_orbit_min(assign, t, tied, identical, ties):
-                return False
-            tied = (t, ties)
-        x = masks[t]
-        cmax = min(k - 1, used + 1) if identical else k - 1
-        for c in range(cmax + 1):
-            cls = classes[c]
-            assign[t] = c
-            if cls.add(x):
-                if place(t + 1, max(used, c), tied):
-                    return True
-                cls.remove(x)
-        return False
-
-    if place(0, -1, (0, _perm_position_maps(n)) if use_sym else None):
-        return Coloring(n, list(zip(masks, assign)), total=True)
-    return None
-
-
-def ramsey(patterns, mode: str = "weak", n_cap: int = 4,
-           budget: int | None = 2_000_000, symmetry: bool = True) -> SearchResult:
-    """Least n <= n_cap such that every k-coloring of B_n yields a
-    monochromatic copy of P_i in some color class i."""
-    names = ",".join(f"P{i}" for i in range(len(patterns)))
-    problem = f"R({names}) {mode}"
-    counter = _Counter(budget)
-    witness = None
-    last_done = -1
-    try:
-        for n in range(0, n_cap + 1):
-            avoiding = _ramsey_avoiding(n, patterns, mode, counter, symmetry)
-            if avoiding is None:
-                return SearchResult(problem, n, "brute", witness, (0, n),
-                                    details={"nodes": counter.nodes})
-            witness = avoiding
-            last_done = n
-    except BudgetExceeded:
-        return SearchResult(problem, f">{last_done}", "brute", witness,
-                            (0, last_done), budget_exhausted=True,
-                            details={"nodes": counter.nodes})
-    return SearchResult(problem, f">{n_cap}", "brute", witness, (0, n_cap),
-                        details={"nodes": counter.nodes})
-
-
-# ---------------------------------------------------------------------------
-# RR(P, Q): rainbow Ramsey via canonical set partitions
+# R(P_1, ..., P_k) and RR(P, Q): one search over colorings in canonical order
 # ---------------------------------------------------------------------------
 
 def iter_canonical_colorings(n):
@@ -382,96 +297,141 @@ def iter_canonical_colorings(n):
     yield from rec(0, 0) if total else iter(())
 
 
-def _rr_avoiding(n, p, q, mode, counter, symmetry):
-    """A coloring of B_n with no monochromatic P and no rainbow Q, or None.
+def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
+    """A coloring of B_n whose class c is free of patterns[c] and, when q
+    is given, that holds no rainbow q; or None.
 
-    Enumerates set partitions (restricted growth) with early pruning: a
-    partial coloring already containing either pattern can never avoid.
-    Every prefix reached holds neither pattern, so only copies through the
-    newest set are looked for.
+    len(patterns) caps the number of colors (RR passes one pattern per
+    set: no cap).  When rename is set the colors are interchangeable and
+    only restricted-growth colorings are tried.  Every prefix reached
+    holds no forbidden copy, so only copies through the newest set are
+    looked for.  The search runs on an explicit stack: position t of the
+    canonical order is depth t.
     """
     masks = _canonical_masks(n)
     total = len(masks)
+    limit = len(patterns)
     use_sym = symmetry and n >= 4
     boundaries = _level_boundaries(n, masks) if use_sym else set()
-    below, inc = _order_bitsets(n)
+    below, _, inc = _order_bitsets(n)
+    classes = [_MonoClass(p, mode, below) for p in patterns]
     assign = [0] * total
-    classes = []
-    class_bits = []
-    color_of = [None] * (1 << n)
-    q_size = q.size
-    q_antichain = q.is_antichain()
-    prefix_bits = [0] * (total + 1)   # the sets colored before position t
-    for t, m in enumerate(masks):
-        prefix_bits[t + 1] = prefix_bits[t] | 1 << m
+    used = [-1] * (total + 1)     # the highest color used before position t
+    tied = [None] * (total + 1)   # orbit-test ties handed to position t
+    if use_sym:
+        tied[0] = (0, _perm_position_maps(n))
 
-    def has_rainbow_q(t, x, c, colors):
-        if colors < q_size:
-            return False
-        if q_antichain:
-            if mode == "weak":
-                return True  # q_size distinct colors suffice for a weak antichain copy
-            return _rainbow_antichain_through(
-                x, q_size, prefix_bits[t], class_bits[c], inc,
-                color_of.__getitem__) is not None
-        return _search_embedding(tuple(masks[:t + 1]), q, mode, False,
-                                 color_of=color_of.__getitem__) is not None
+    if q is not None:
+        q_size = q.size
+        q_antichain = q.is_antichain()
+        color_of = [None] * (1 << n)
+        class_bits = [0] * limit
+        prefix_bits = [0] * (total + 1)   # the sets colored before position t
+        for t, m in enumerate(masks):
+            prefix_bits[t + 1] = prefix_bits[t] | 1 << m
 
-    def place(t, used, tied):
-        counter.tick()
-        if t == total:
-            return True
-        if use_sym and t in boundaries:
-            ties = []
-            if not _prefix_is_orbit_min(assign, t, tied, True, ties):
+        def rainbow_through(t, x, c):
+            """Color x with c; True when that completes a rainbow q."""
+            color_of[x] = c
+            if max(used[t], c) + 1 < q_size:
                 return False
-            tied = (t, ties)
-        x = masks[t]
-        bit = 1 << x
-        for c in range(used + 2):
-            if c == len(classes):
-                classes.append(_MonoClass(p, mode, below))
-                class_bits.append(0)
-            cls = classes[c]
-            assign[t] = c
-            if cls.add(x):
-                color_of[x] = c
-                if not has_rainbow_q(t, x, c, max(used, c) + 1):
-                    class_bits[c] |= bit
-                    if place(t + 1, max(used, c), tied):
-                        return True
-                    class_bits[c] ^= bit
-                cls.remove(x)
-        return False
+            if q_antichain:
+                if mode == "weak":
+                    return True  # q_size distinct colors suffice for a weak antichain copy
+                return _rainbow_antichain_through(
+                    x, q_size, prefix_bits[t], class_bits[c], inc,
+                    color_of.__getitem__) is not None
+            return _search_embedding(tuple(masks[:t + 1]), q, mode, False,
+                                     color_of=color_of.__getitem__) is not None
 
-    if place(0, -1, (0, _perm_position_maps(n)) if use_sym else None):
-        return Coloring(n, list(zip(masks, assign)), total=True)
-    return None
+    t = 0
+    c = None   # the next color to try at t; None on arrival at t
+    while True:
+        if c is None:
+            counter.tick()
+            if t == total:
+                return Coloring(n, list(zip(masks, assign)), total=True)
+            c = 0
+            if use_sym and t in boundaries:
+                ties = []
+                if _prefix_is_orbit_min(assign, t, tied[t], rename, ties):
+                    tied[t] = (t, ties)
+                else:
+                    c = limit
+        top = min(limit - 1, used[t] + 1) if rename else limit - 1
+        x = masks[t]
+        while c <= top:
+            cls = classes[c]
+            if cls.add(x):
+                if q is None or not rainbow_through(t, x, c):
+                    break
+                cls.remove(x)
+            c += 1
+        if c <= top:
+            assign[t] = c
+            if q is not None:
+                class_bits[c] |= 1 << x
+            used[t + 1] = max(used[t], c)
+            tied[t + 1] = tied[t]
+            t += 1
+            c = None
+            continue
+        if t == 0:
+            return None
+        t -= 1
+        c = assign[t]
+        x = masks[t]
+        if q is not None:
+            class_bits[c] ^= 1 << x
+        classes[c].remove(x)
+        c += 1
+
+
+def _least_n(problem, method, n_cap, budget, avoiding):
+    """The least n <= n_cap for which avoiding(n, counter) finds no
+    avoiding coloring, with the avoiding coloring of n - 1 as witness.  A
+    budget stop leaves the n it stopped in undecided: value ">n-1" (None
+    when it stopped in n = 0) and checked=(0, n-1)."""
+    counter = _Counter(budget)
+    witness = None
+    try:
+        for n in range(n_cap + 1):
+            found = avoiding(n, counter)
+            if found is None:
+                return SearchResult(problem, n, method, witness, (0, n),
+                                    details={"nodes": counter.nodes})
+            witness = found
+    except BudgetExceeded:
+        return SearchResult(problem, f">{n - 1}" if n else None, method, witness,
+                            (0, n - 1), budget_exhausted=True,
+                            details={"nodes": counter.nodes})
+    return SearchResult(problem, f">{n_cap}", method, witness, (0, n_cap),
+                        details={"nodes": counter.nodes})
+
+
+def ramsey(patterns, mode: str = "weak", n_cap: int = 4,
+           budget: int | None = 2_000_000, symmetry: bool = True) -> SearchResult:
+    """Least n <= n_cap such that every k-coloring of B_n yields a
+    monochromatic copy of P_i in some color class i."""
+    names = ",".join(f"P{i}" for i in range(len(patterns)))
+    identical = all(p == patterns[0] for p in patterns)
+    return _least_n(f"R({names}) {mode}", "brute", n_cap, budget,
+                    lambda n, counter: _avoiding(n, patterns, mode, counter,
+                                                 symmetry, identical))
 
 
 def rainbow_ramsey(p: PosetPattern, q: PosetPattern, mode: str = "weak",
                    n_cap: int = 3, budget: int | None = 2_000_000,
                    symmetry: bool = True) -> SearchResult:
     """Least n <= n_cap such that every coloring of B_n (any number of
-    colors) yields a monochromatic copy of P or a rainbow copy of Q."""
-    problem = f"RR(P,Q) {mode}"
-    counter = _Counter(budget)
-    witness = None
-    last_done = -1
-    try:
-        for n in range(0, n_cap + 1):
-            avoiding = _rr_avoiding(n, p, q, mode, counter, symmetry)
-            if avoiding is None:
-                return SearchResult(problem, n, "canonical-partition", witness,
-                                    (0, n), details={"nodes": counter.nodes})
-            witness = avoiding
-            last_done = n
-    except BudgetExceeded:
-        return SearchResult(problem, f">{last_done}", "canonical-partition",
-                            witness, (0, last_done), budget_exhausted=True,
-                            details={"nodes": counter.nodes})
-    return SearchResult(problem, f">{n_cap}", "canonical-partition", witness,
-                        (0, n_cap), details={"nodes": counter.nodes})
+    colors) yields a monochromatic copy of P or a rainbow copy of Q.
+
+    Colorings are enumerated as set partitions (restricted growth) with
+    early pruning: a partial coloring already containing either pattern
+    can never avoid."""
+    return _least_n(f"RR(P,Q) {mode}", "canonical-partition", n_cap, budget,
+                    lambda n, counter: _avoiding(n, [p] * (1 << n), mode, counter,
+                                                 symmetry, True, q))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +455,7 @@ def _threshold2(n, partial):
     """
     size = 1 << n
     everything = (1 << size) - 1
-    comp = [everything ^ row for row in _order_bitsets(n)[1]]
+    comp = [everything ^ row for row in _order_bitsets(n)[2]]
     best = -1
     best_pair = (0, 0)
     for h1 in range(1 << size):
@@ -533,7 +493,7 @@ def _threshold3(n, partial, counter):
     stop the best coloring found so far, a lower bound, is returned.
     """
     size = 1 << n
-    inc = _order_bitsets(n)[1]
+    inc = _order_bitsets(n)[2]
     cls = [0, 0, 0]
     counts = [0, 0, 0]
     best = -1
@@ -941,14 +901,14 @@ def fork_f_small(r: int, k: int, n_cap: int = 4,
 def fork_block_check_naive(n: int, lo: int, hi: int, r: int) -> bool:
     """Weak V_r inside levels lo..hi of B_n by explicit superset counting
     over the actual lattice (independent of any binomial formula)."""
-    sups = _superset_bitsets(n)
+    above = _order_bitsets(n)[1]
     block = 0
     for m in all_masks(n):
         if lo <= m.bit_count() <= hi:
             block |= 1 << m
     for m in all_masks(n):
         if lo <= m.bit_count() < hi:
-            if (sups[m] & block).bit_count() >= r:
+            if (above[m] & block).bit_count() >= r:
                 return True
     return False
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 from rainbowramsey.cli import main
 from rainbowramsey.lattice import Family
@@ -88,6 +89,20 @@ def test_coloring_gen_check_pipeline(tmp_path, capsys):
     assert "rainbow_copy" not in res  # classes mutually comparable: no rainbow A2
 
 
+def test_input_files_are_closed(tmp_path, capsys):
+    fam_path = tmp_path / "fam.txt"
+    fam_path.write_text(Family.make(3, [0, 0b011]).to_text())
+    _, gen_out = run_cli(capsys, "coloring", "gen", "--kind", "g2-lower", "--n", "4")
+    col_path = tmp_path / "col.json"
+    col_path.write_text(json.dumps(json.loads(gen_out)["result"]["coloring"]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(capsys, "lubell", "--family", str(fam_path))[0] == 0
+        assert run_cli(capsys, "coloring", "check", "--coloring", str(col_path),
+                       "--p", "C3", "--q", "A2")[0] == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_thin_antichain_and_constants(capsys):
     code, out = run_cli(capsys, "thin-antichain", "--n", "10")
     assert code == 0 and json.loads(out)["result"]["size"] == 8
@@ -116,6 +131,11 @@ def test_exit_codes(capsys):
                         "--n-cap", "4", "--budget", "10")
     assert code == 2  # budget exhaustion: partial result, exit 2
     assert json.loads(out)["result"]["budget_exhausted"] is True
+    # stopped in n = 0: nothing certified, so no value
+    code, out = run_cli(capsys, "rainbow", "--p", "C3", "--q", "C3",
+                        "--n-cap", "4", "--budget", "0")
+    res = json.loads(out)["result"]
+    assert code == 2 and res["value"] is None and res["witness"] is None
 
 
 def test_out_file(tmp_path, capsys):

@@ -34,6 +34,7 @@ from rainbowramsey.search import (
 
 C2 = poset_by_name("C2")
 C3 = poset_by_name("C3")
+C4 = standard_poset("chain", 4)
 V2 = poset_by_name("V2")
 A3 = poset_by_name("A3")
 
@@ -372,7 +373,7 @@ def test_anchored_rainbow_check_matches_unanchored():
         n = rng.randint(2, 4)
         k = rng.randint(1, 4)
         ncolors = rng.randint(max(1, k - 1), k + 2)
-        inc = _order_bitsets(n)[1]
+        inc = _order_bitsets(n)[2]
         color = {}
         colored = 0
         class_bits = [0] * ncolors
@@ -407,7 +408,15 @@ def _digest(col):
      "a4523f58c21297e3"),
     (lambda sym: rainbow_ramsey(C3, C3, "weak", 4, symmetry=sym), 4, (729, 1332),
      "bc3629ecffa3f604"),
-], ids=["R(C3,C3)", "RR(C2,A3) strong", "RR(C3,C3) weak"])
+    # distinct patterns: colors are not interchangeable, so the orbit test
+    # compares colors as they are
+    (lambda sym: ramsey([C2, C4], "weak", 4, symmetry=sym), 4, (246, 413), "964e90d4c3f44821"),
+    (lambda sym: ramsey([C2, C2, C3], "weak", 4, symmetry=sym), 4, (1222, 2589),
+     "b14d00e24aaee746"),
+    (lambda sym: ramsey([C3, C4], "weak", 5, symmetry=sym), 5, (26_551, 211_136),
+     "3c1ea7926399f81d"),
+], ids=["R(C3,C3)", "RR(C2,A3) strong", "RR(C3,C3) weak", "R(C2,C4)", "R(C2,C2,C3)",
+        "R(C3,C4)"])
 def test_pinned_search_trees(run, value, nodes, witness):
     # the anchored checks prune exactly what the full copy searches did:
     # same node counts, values and witnesses, symmetry on and off
@@ -424,6 +433,17 @@ def test_pinned_threshold3_trees(partial, nodes, witness):
     res = threshold_F(4, 3, partial)
     assert (res.value, res.details, _digest(res.witness)) == (
         6, {"max_min": 5, "nodes": nodes}, witness)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: ramsey([C3, C3], "weak", 4, budget=0),
+    lambda: rainbow_ramsey(C3, C3, "weak", 4, budget=0),
+], ids=["R", "RR"])
+def test_budget_stop_in_n0_decides_nothing(run):
+    res = run()
+    assert res.budget_exhausted
+    assert (res.value, res.witness, res.checked) == (None, None, (0, -1))
+    assert res.to_jsonable()["value"] is None
 
 
 def test_threshold3_budget_stop_keeps_incumbent():
