@@ -16,7 +16,8 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, repeat
+from math import lcm
 
 from .lattice import all_masks, canonical_key, full_mask
 from .lubell import binom, lubell_interval
@@ -645,51 +646,62 @@ def _size_witness(n, cfg, target):
     return _coloring_from_classes(n, class_sets)
 
 
-def _two_color_pareto_dp(n, point_w, interior_w, seed_best):
+def _interior_table(n, pts, closed):
+    """blk[a][b]: the weight strictly inside the block between chain points
+    a < b, i.e. the closed block's weight closed(a, b) less its two end
+    points; zero when b - a < 2 (the block has no interior)."""
+    zero = pts[0] - pts[0]
+    return [[closed(a, b) - pts[a] - pts[b] if b - a >= 2 else zero
+             for b in range(n + 1)] for a in range(n + 1)]
+
+
+def _two_color_pareto_dp(n, pts, blk, seed_best):
     """Exact max-min over all core-chain colorings for additive weights.
 
+    The weights are given as tables of any exact additive type (int or
+    Fraction): pts[l] is the chain point on level l, blk[a][b] the interior
+    of the block between chain points a < b (see _interior_table).
     State: chain point level with a Pareto front of class weight pairs.
     Transitions append the next chain point, coloring the skipped open
-    block (if its dimension is >= 2) and the new point; the empty set's
+    block (if it has an interior) and the new point; the empty set's
     point is pinned to class 0 (global color swap symmetry).  Dominance
     and the optimistic completion bound are exact, so the returned value
     is the true optimum; parent links reconstruct an extremal config.
     """
-    zero = point_w(0) - point_w(0)
+    zero = pts[0] - pts[0]
     # everything placeable above the level-l point sits strictly inside
     # B_{S_l, [n]}, whose weight is interior(l, n) plus the top point
-    remaining = [interior_w(l, n) + point_w(n) for l in range(n)] + [zero]
+    remaining = [blk[l][n] + pts[n] for l in range(n)] + [zero]
 
     best = seed_best
-    fronts = {0: {(point_w(0), zero): None}}
-    parents = {(0, (point_w(0), zero)): None}
+    start = (pts[0], zero)
+    fronts = {0: {start: None}}
+    parents = {(0, start): None}
     for lvl in range(n):
         front = fronts.pop(lvl, None)
         if not front:
             continue
-        items = sorted(front, key=lambda p: (-p[0], -p[1]))
         kept = []
         hi2 = None
-        for pair in items:
+        for pair in sorted(front, reverse=True):
             if hi2 is None or pair[1] > hi2:
                 kept.append(pair)
                 hi2 = pair[1]
         ub = remaining[lvl]
+        row = blk[lvl]
         for pair in kept:
             a, b = pair
             if min(a, b) + ub <= best or (a + b + ub) <= 2 * best:
                 continue
             for nxt in range(lvl + 1, n + 1):
-                dim = nxt - lvl
-                blk = interior_w(lvl, nxt) if dim >= 2 else zero
-                pw = point_w(nxt)
-                block_opts = (0, 1) if dim >= 2 and blk != zero else (None,)
-                for blk_to in block_opts:
+                w = row[nxt]
+                pw = pts[nxt]
+                tgt = fronts.setdefault(nxt, {})
+                for blk_to in ((0, 1) if w else (None,)):
                     for pt_to in (0, 1):
-                        na = a + (blk if blk_to == 0 else zero) + (pw if pt_to == 0 else zero)
-                        nb = b + (blk if blk_to == 1 else zero) + (pw if pt_to == 1 else zero)
+                        na = a + (w if blk_to == 0 else zero) + (pw if pt_to == 0 else zero)
+                        nb = b + (w if blk_to == 1 else zero) + (pw if pt_to == 1 else zero)
                         ch = (na, nb)
-                        tgt = fronts.setdefault(nxt, {})
                         if ch not in tgt:
                             tgt[ch] = None
                             parents[(nxt, ch)] = (lvl, pair, blk_to, pt_to)
@@ -712,26 +724,27 @@ def _two_color_pareto_dp(n, point_w, interior_w, seed_best):
     return best, config
 
 
-def _seed_three_point(n, point_w, interior_w):
+def _seed_three_point(n, pts, blk):
     """Exact value of every one- or two-block chain (0, s, n): a strong
-    starting bound for the Pareto DP.  Returns (value, chain config)."""
-    zero = point_w(0) - point_w(0)
+    starting bound for the Pareto DP, on the same weight tables.  Returns
+    (value, chain config)."""
+    zero = pts[0] - pts[0]
     best = zero
     best_cfg = None
     for s in [None] + list(range(1, n)):
         if s is None:
-            blocks, pts = [(0, n)], [0, n]
+            blocks, levels = [(0, n)], [0, n]
         else:
-            blocks, pts = [(0, s), (s, n)], [0, s, n]
-        block_ws = [interior_w(a, b) if b - a >= 2 else zero for (a, b) in blocks]
+            blocks, levels = [(0, s), (s, n)], [0, s, n]
+        block_ws = [blk[a][b] for (a, b) in blocks]
         for colors in range(1 << len(blocks)):
             base = [zero, zero]
             for i, w in enumerate(block_ws):
                 base[(colors >> i) & 1] += w
-            for pcolors in range(1 << len(pts)):
+            for pcolors in range(1 << len(levels)):
                 tot = base[:]
-                for i, l in enumerate(pts):
-                    tot[(pcolors >> i) & 1] += point_w(l)
+                for i, l in enumerate(levels):
+                    tot[(pcolors >> i) & 1] += pts[l]
                 v = min(tot)
                 if v > best:
                     best = v
@@ -784,16 +797,17 @@ def two_color_partial_exact(n: int, objective: str = "size") -> SearchResult:
         return SearchResult(f"F'({n},2)", v + 1, "composition-DP", witness,
                             (n, n), details={"max_min": v, "blocks": cfg})
     if objective == "mass":
-        def point_w(l):
-            return Fraction(1, binom(n, l))
-
-        def interior_w(a, b):
-            return lubell_interval(n, a, b) - point_w(a) - point_w(b)
-
-        seed, seed_cfg = _seed_three_point(n, point_w, interior_w)
-        v, cfg = _two_color_pareto_dp(n, point_w, interior_w, seed)
+        # masses scaled by L = lcm_l C(n, l) are exact integers: a block
+        # interior is a sum of C(b-a, i-a) * L / C(n, i); scaling by L > 0
+        # keeps every comparison, so the front and the config are the same
+        scale = lcm(*(binom(n, l) for l in range(n + 1)))
+        pts = [scale // binom(n, l) for l in range(n + 1)]
+        blk = _interior_table(n, pts, lambda a, b: int(scale * lubell_interval(n, a, b)))
+        seed, seed_cfg = _seed_three_point(n, pts, blk)
+        v, cfg = _two_color_pareto_dp(n, pts, blk, seed)
         if cfg is None:
             v, cfg = seed, seed_cfg
+        v = Fraction(v, scale)
         witness = _chain_config_coloring(n, cfg) if n <= 16 else None
         return SearchResult(f"G'({n},2)", v, "composition-DP", witness, (n, n),
                             details={"max_min_mass": f"{v.numerator}/{v.denominator}",
@@ -804,14 +818,10 @@ def two_color_partial_exact(n: int, objective: str = "size") -> SearchResult:
 def two_color_size_dp_oracle(n: int) -> int:
     """Pareto-DP recomputation of F'(n,2)-1 with size weights (cross-check
     for the closed composition scan)."""
-    def point_w(l):
-        return 1
-
-    def interior_w(a, b):
-        return (1 << (b - a)) - 2
-
-    seed, _ = _seed_three_point(n, point_w, interior_w)
-    v, _ = _two_color_pareto_dp(n, point_w, interior_w, seed)
+    pts = [1] * (n + 1)
+    blk = _interior_table(n, pts, lambda a, b: 1 << (b - a))
+    seed, _ = _seed_three_point(n, pts, blk)
+    v, _ = _two_color_pareto_dp(n, pts, blk, seed)
     return max(v, seed)
 
 
@@ -873,13 +883,24 @@ def fork_g(r: int, k: int) -> int:
 
 def fork_g_sweep(r_max: int, k: int):
     """fork_g(r, k) for every r = 1..r_max, exact, using monotonicity in r
-    (avoidance only gets easier as r grows) to avoid rescanning."""
-    out = [0] * (r_max + 1)
+    (avoidance only gets easier as r grows): n never has to be rescanned,
+    and the r at which n is forced form a run, whose end a binary search
+    finds."""
+    out = [0]
     n = k - 1
-    for r in range(1, r_max + 1):
+    r = 1
+    while r <= r_max:
         while fork_can_avoid(n, r, k):
             n += 1
-        out[r] = n
+        lo, hi = r, r_max  # n is forced at lo; the last r' <= hi where it is
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if fork_can_avoid(n, mid, k):
+                hi = mid - 1
+            else:
+                lo = mid
+        out.extend(repeat(n, lo + 1 - r))  # no temporary list of the run
+        r = lo + 1
     return out
 
 

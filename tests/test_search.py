@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -17,8 +18,11 @@ from rainbowramsey.colorings import (
 from rainbowramsey.search import (
     SearchError,
     _MonoClass,
+    _interior_table,
     _order_bitsets,
     _rainbow_antichain_through,
+    _seed_three_point,
+    _two_color_pareto_dp,
     fork_can_avoid,
     fork_can_avoid_naive,
     fork_f_small,
@@ -210,6 +214,21 @@ def test_two_color_mass_small_exact_and_config_brute():
         assert two_color_partial_exact(n, "mass").value == _mass_config_brute(n)
 
 
+def test_integer_mass_dp_matches_rational_weights():
+    # the same DP on unscaled Fraction tables: scaling every weight by
+    # L > 0 must change neither the optimum nor the chosen chain config
+    from rainbowramsey.lubell import lubell_interval
+    for n in range(1, 21):
+        pts = [Fraction(1, binom(n, l)) for l in range(n + 1)]
+        blk = _interior_table(n, pts, lambda a, b: lubell_interval(n, a, b))
+        seed, seed_cfg = _seed_three_point(n, pts, blk)
+        v, cfg = _two_color_pareto_dp(n, pts, blk, seed)
+        if cfg is None:
+            v, cfg = seed, seed_cfg
+        res = two_color_partial_exact(n, "mass")
+        assert (res.value, res.details["chain_config"]) == (v, cfg)
+
+
 def test_fork_g_values():
     assert fork_g(5, 1) == 3
     assert fork_g(3, 2) == 3
@@ -217,9 +236,14 @@ def test_fork_g_values():
 
 
 def test_fork_g_sweep_matches_pointwise():
-    sweep = fork_g_sweep(300, 2)
-    for r in (1, 2, 5, 77, 300):
-        assert sweep[r] == fork_g(r, 2)
+    for k in (1, 2, 3):
+        point = [0] + [fork_g(r, k) for r in range(1, 301)]
+        # sweeps that end on either side of a step of g_k (for k = 1 the
+        # steps are at r = 2^m), or inside a run
+        steps = [r for r in range(2, 301) if point[r] != point[r - 1]]
+        ends = {1, 2, 7, 100, 300} | {r for s in steps for r in (s - 1, s)}
+        for r_max in sorted(ends):
+            assert fork_g_sweep(r_max, k) == point[:r_max + 1]
 
 
 def test_fork_can_avoid_matches_naive():
@@ -318,6 +342,23 @@ def test_rainbow_ramsey_strong_mode_with_partition_cross_check():
     w = res.witness
     assert w.ground == 2
     assert validate_witness(w, C2, a2, "strong", "strong").avoided
+
+
+@pytest.mark.parametrize("n, value, digest", [
+    (8, Fraction(17, 8), "e472ad1ef25262c5"),
+    (12, Fraction(9, 4), "8f78f521cfd1ae7a"),
+    (16, Fraction(30, 13), "ac262724512e1331"),
+    (20, Fraction(37, 16), "7b7a9432f7edaf08"),
+    (24, Fraction(44, 19), "5cd9adfc06c8bb1b"),
+    (28, Fraction(51, 22), "88cf155859e08874"),
+    (32, Fraction(58, 25), "6d0cf64c21f9ec5a"),
+])
+def test_pinned_gprime_bodies(n, value, digest):
+    # the whole result body (value, witness, chain config), as computed by
+    # the DP on Fraction weights before it moved to integer-scaled ones
+    res = two_color_partial_exact(n, "mass")
+    body = json.dumps([res.to_jsonable(), res.details], sort_keys=True)
+    assert (res.value, hashlib.sha256(body.encode()).hexdigest()[:16]) == (value, digest)
 
 
 def test_two_color_cap_error():
