@@ -148,17 +148,25 @@ def _rainbow_strong_antichain(members, color_of, k):
 
     Color-major backtracking, scarcest color class first (one candidate per
     chosen color, colors skippable within the slack #colors - k); searches
-    are deterministic and exhaustive, so None is a proof of absence.
+    are deterministic and exhaustive, so None is a proof of absence.  Each
+    class is a bitset of member indices: the candidates for a color are
+    the set bits of allowed & class, lowest first, and the last color
+    takes the lowest one.
     """
     m = len(members)
     if m < k:
         return None
     by_color = {}
-    for i, mask in enumerate(members):
-        by_color.setdefault(color_of(mask), []).append(i)
+    bit = 1
+    for mask in members:
+        c = color_of(mask)
+        by_color[c] = by_color.get(c, 0) | bit
+        bit <<= 1
     if len(by_color) < k:
         return None
-    color_order = sorted(by_color, key=lambda c: (len(by_color[c]), c))
+    class_bits = [bits for _, _, bits in
+                  sorted((bits.bit_count(), c, bits) for c, bits in by_color.items())]
+    ncolors = len(class_bits)
     inc = {}
 
     def inc_row(i):
@@ -178,19 +186,25 @@ def _rainbow_strong_antichain(members, color_of, k):
     def rec(pos, allowed, skips_left):
         if len(chosen) == k:
             return True
-        if len(color_order) - pos < k - len(chosen):
+        if ncolors - pos < k - len(chosen):
             return False
-        for i in by_color[color_order[pos]]:
-            if allowed >> i & 1:
-                chosen.append(i)
-                if len(chosen) == k or rec(pos + 1, allowed & inc_row(i), skips_left):
-                    return True
-                chosen.pop()
+        cand = allowed & class_bits[pos]
+        if cand and len(chosen) == k - 1:
+            chosen.append((cand & -cand).bit_length() - 1)
+            return True
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            chosen.append(i)
+            if rec(pos + 1, allowed & inc_row(i), skips_left):
+                return True
+            chosen.pop()
         if skips_left > 0 and rec(pos + 1, allowed, skips_left - 1):
             return True
         return False
 
-    if rec(0, (1 << m) - 1, len(color_order) - k):
+    if rec(0, (1 << m) - 1, ncolors - k):
         return tuple(sorted((members[i] for i in chosen), key=canonical_key))
     return None
 

@@ -217,19 +217,79 @@ def _search_embedding(members, pattern: PosetPattern, mode: str, thin: bool,
     return None
 
 
+def _chain_copy(members, pattern: PosetPattern):
+    """The copy of the chain pattern that _search_embedding returns, found
+    by up-heights over member-index bitsets instead of backtracking.
+
+    A strict chain is strong and thin, so mode and thin do not matter.
+    The strict supersets of member i are the members holding every
+    element of members[i], less i itself; they all come after i in
+    canonical order.  layers[j] is the bitset of the members that head an
+    upward chain of more than j members (heights capped at the pattern
+    size).  The backtracking answer is the lexicographically first index
+    chain, so each step takes the lowest superset of the previous image
+    that still heads a long enough chain.
+    """
+    l = pattern.size
+    if l == 0:
+        return ()
+    m = len(members)
+    everyone = (1 << m) - 1
+    containing = [0] * max(members, default=0).bit_length()
+    for i, x in enumerate(members):
+        bit = 1 << i
+        while x:
+            low = x & -x
+            x ^= low
+            containing[low.bit_length() - 1] |= bit
+
+    def supersets(i):
+        acc = everyone ^ 1 << i
+        x = members[i]
+        while x:
+            low = x & -x
+            x ^= low
+            acc &= containing[low.bit_length() - 1]
+        return acc
+
+    layers = [0] * l
+    for i in range(m - 1, -1, -1):
+        above = supersets(i)
+        h = 1
+        while h < l and above & layers[h - 1]:
+            h += 1
+        bit = 1 << i
+        for j in range(h):
+            layers[j] |= bit
+    if not layers[-1]:
+        return None
+    images = [None] * l
+    heads = layers[-1]
+    for t, p in enumerate(pattern.linear_extension()):
+        i = (heads & -heads).bit_length() - 1
+        images[p] = members[i]
+        if t + 1 < l:
+            heads = supersets(i) & layers[l - t - 2]
+    return tuple(images)
+
+
 def find_copy(host: Family, pattern: PosetPattern, mode: str = "weak",
               thin: bool = False):
     """First weak/strong (optionally thin) copy of pattern in host, or None.
 
     Deterministic: pattern elements are processed in a fixed linear
     extension and candidates in the family's canonical order, so the
-    returned witness is reproducible.
+    returned witness is reproducible.  Chain patterns are decided by
+    up-heights over member bitsets (_chain_copy) and return the same copy.
     """
     if mode not in ("weak", "strong"):
         raise PosetError(f"mode must be weak or strong, got {mode!r}")
     if pattern.size > len(host):
         return None
-    images = _search_embedding(host.members, pattern, mode, thin)
+    if pattern.is_chain():
+        images = _chain_copy(host.members, pattern)
+    else:
+        images = _search_embedding(host.members, pattern, mode, thin)
     if images is None:
         return None
     return Embedding(images, mode, thin)

@@ -185,6 +185,17 @@ def _rainbow_antichain_through(x, k, colored, same, inc, color_of):
     return _rainbow_strong_antichain(tuple(_bits_of(cand)), color_of, k - 1)
 
 
+def _rainbow_chain_through(x, shorter, colored, same, below, color_of):
+    """A rainbow C_l through the newest set x, given that the sets colored
+    before x hold none: x is the top of any new copy (no colored set lies
+    above it), so a rainbow copy of shorter = C_{l-1} among the colored
+    strict subsets of x whose color differs from x's.  Arguments as for
+    _rainbow_antichain_through; returns the l-1 other sets or None."""
+    cand = below[x] & colored & ~same
+    return _search_embedding(tuple(_bits_of(cand)), shorter, "weak", False,
+                             color_of=color_of)
+
+
 # ---------------------------------------------------------------------------
 # ground-set permutation symmetry (checked at complete-level boundaries)
 # ---------------------------------------------------------------------------
@@ -229,19 +240,10 @@ def _level_boundaries(n, masks):
     return set(ends)
 
 
-def _rgs(seq):
-    remap = {}
-    out = []
-    for c in seq:
-        if c not in remap:
-            remap[c] = len(remap)
-        out.append(remap[c])
-    return out
-
-
 def _prefix_is_orbit_min(assign, t, tied, rename, ties_out):
     """True iff the length-t prefix is lexicographically minimal in its
-    permutation orbit (colors renamed first-seen when rename is set).
+    permutation orbit (colors renamed first-seen when rename is set, in
+    which case assign is restricted-growth and so its own renaming).
 
     tied = (s, pmaps) holds, for an earlier complete-level boundary s of
     the same prefix, the position maps of the nonidentity permutations
@@ -251,22 +253,21 @@ def _prefix_is_orbit_min(assign, t, tied, rename, ties_out):
     difference; the maps of those equal through t go to ties_out.
     """
     s, pmaps = tied
-    base = _rgs(assign[:t]) if rename else assign[:t]
-    # a permuted prefix equal to the base through s names its colors at
-    # the positions where the base shows each color first; without
+    # a permuted prefix equal to the prefix through s names its colors at
+    # the positions where the prefix shows each color first; without
     # renaming the color map is the identity
     firsts = []
     if rename:
         for j in range(s):
-            if base[j] == len(firsts):
+            if assign[j] == len(firsts):
                 firsts.append(j)
     else:
-        identity = {c: c for c in base}
+        identity = {c: c for c in assign[:t]}
     for pmap in pmaps:
         remap = {assign[pmap[j]]: label for label, j in enumerate(firsts)} if rename else identity
         for i in range(s, t):
             c = remap.setdefault(assign[pmap[i]], len(remap))
-            b = base[i]
+            b = assign[i]
             if c != b:
                 if c < b:
                     return False
@@ -325,6 +326,9 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
     if q is not None:
         q_size = q.size
         q_antichain = q.is_antichain()
+        # a chain q of size >= 2 (size 1 is an antichain) is looked for
+        # below the newest set
+        q_shorter = standard_poset("chain", q_size - 1) if q.is_chain() and q_size > 1 else None
         color_of = [None] * (1 << n)
         class_bits = [0] * limit
         prefix_bits = [0] * (total + 1)   # the sets colored before position t
@@ -341,6 +345,10 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
                     return True  # q_size distinct colors suffice for a weak antichain copy
                 return _rainbow_antichain_through(
                     x, q_size, prefix_bits[t], class_bits[c], inc,
+                    color_of.__getitem__) is not None
+            if q_shorter is not None:
+                return _rainbow_chain_through(
+                    x, q_shorter, prefix_bits[t], class_bits[c], below,
                     color_of.__getitem__) is not None
             return _search_embedding(tuple(masks[:t + 1]), q, mode, False,
                                      color_of=color_of.__getitem__) is not None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -87,6 +88,27 @@ def test_coloring_gen_check_pipeline(tmp_path, capsys):
                         "--p", "A3", "--q", "A2", "--mode", "strong")
     res = json.loads(out)["result"]
     assert "rainbow_copy" not in res  # classes mutually comparable: no rainbow A2
+
+
+def test_coloring_check_rr_lower_pins(tmp_path, capsys):
+    # levels of B_9 in five classes of two: a mono C2 in every class, no
+    # mono C3, no rainbow strong A5, a rainbow strong A4
+    _, gen_out = run_cli(capsys, "coloring", "gen", "--kind", "rr-lower", "--e", "2", "--q", "6")
+    path = tmp_path / "col.json"
+    path.write_text(json.dumps(json.loads(gen_out)["result"]["coloring"]))
+    expected = {
+        ("C2", "A5"): (False, "f1fd9d783b2f8d7c5a9064fc92ffe9b58c0e52c4774209d74e65f39e80d2c0a6"),
+        ("C3", "A5"): (True, "15db360c4d11d30401085787837261e4c0bce582bd20796a0e95406961ae5e3c"),
+        ("C3", "A4"): (False, "6f9980cffa07dc8acd8dd3c80486e42b4f922eebbd8e70144c667e0a30885afa"),
+    }
+    for (p, q), (avoided, digest) in expected.items():
+        code, out = run_cli(capsys, "coloring", "check", "--coloring", str(path),
+                            "--p", p, "--q", q, "--mode-q", "strong")
+        obj = json.loads(out)
+        assert code == 0 and obj["result"]["avoided"] is avoided
+        text = json.dumps(obj["result"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert obj["manifest"]["result_digest"] == digest
 
 
 def test_input_files_are_closed(tmp_path, capsys):

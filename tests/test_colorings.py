@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -6,10 +8,11 @@ import pytest
 from rainbowramsey.lattice import Family, all_masks, are_comparable, full_mask, is_subset
 from rainbowramsey.lubell import lubell_mass
 from rainbowramsey.corechain import comparability
-from rainbowramsey.posets import poset_by_name, standard_poset
+from rainbowramsey.posets import PosetPattern, _search_embedding, poset_by_name, standard_poset
 from rainbowramsey.colorings import (
     Coloring,
     ColoringError,
+    _rainbow_strong_antichain,
     consecutive_level_coloring,
     f2_lower_coloring,
     find_pattern,
@@ -268,3 +271,50 @@ def test_find_pattern_rainbow_matches_naive_oracle():
                 fast = find_pattern(col, pattern, mode, "rainbow") is not None
                 slow = _naive_rainbow(col, pattern, mode)
                 assert fast == slow, (n, items, mode, pattern.size)
+
+
+def test_rainbow_antichain_matches_embedding_search():
+    # existence agrees with the generic copy search under a color map
+    rng = random.Random(1618)
+    antichains = [PosetPattern(0, ())] + [standard_poset("antichain", k) for k in range(1, 5)]
+    for _ in range(150):
+        n = rng.randint(0, 5)
+        items = [(m, rng.randrange(rng.randint(1, 5))) for m in all_masks(n) if rng.random() < 0.7]
+        col = Coloring(n, items)
+        for k, pattern in enumerate(antichains):
+            fast = _rainbow_strong_antichain(col.members, col.color, k)
+            slow = _search_embedding(col.members, pattern, "strong", False, color_of=col.color)
+            assert (fast is None) == (slow is None), (n, items, k)
+            if fast is not None:
+                assert len(fast) == k and len({col.color(m) for m in fast}) == k
+                assert not any(are_comparable(a, b) for i, a in enumerate(fast) for b in fast[:i])
+
+
+def _antichain_digest(runs):
+    return hashlib.sha256(json.dumps(runs).encode()).hexdigest()[:16]
+
+
+def test_rainbow_antichain_pinned_tuples():
+    # the returned tuples themselves (first in the search order), not only
+    # their existence, are part of every rainbow certificate body
+    def found(col, ks):
+        return [_rainbow_strong_antichain(col.members, col.color, k) for k in ks]
+
+    rng = random.Random(4242)
+    seeded = []
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        items = [(m, rng.randrange(rng.randint(1, 6))) for m in all_masks(n) if rng.random() < 0.7]
+        seeded.append(found(Coloring(n, items), range(6)))
+    fk = [found(fk_random_coloring(n, 3, 1000 + n)[0], (2, 3)) for n in range(8, 15)]
+    fk += [found(fk_random_coloring(n, 4, 321)[0], (3, 4)) for n in range(8, 12)]
+    level = [found(level_coloring(k + 1), (3, k - 1, k)) for k in range(4, 10)]
+    rr = [found(rr_lower_coloring(e, q, f), (q - 1, q))
+          for e, q, f in ((2, 4, 0), (3, 3, 0), (2, 5, 0), (3, 4, 0), (2, 4, 1), (2, 4, 2),
+                          (3, 3, 2), (4, 3, 0), (2, 6, 0))]
+    assert fk[-1] == [(1, 4, 8), None]  # fk-random k=4 on B_11: no rainbow strong A4
+    assert level[0] == [(1, 6, 26), (1, 6, 26), None]
+    assert _antichain_digest(seeded) == "052f274ea045c23e"
+    assert _antichain_digest(fk) == "157e0b94a8bc5ae9"
+    assert _antichain_digest(level) == "2a477105f13c9343"
+    assert _antichain_digest(rr) == "4d5af7523ec13573"

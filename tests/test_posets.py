@@ -6,6 +6,8 @@ from rainbowramsey.lattice import Family, all_masks, random_family
 from rainbowramsey.posets import (
     PosetError,
     PosetPattern,
+    _pattern_from_strict,
+    _search_embedding,
     extremal_params,
     find_copy,
     find_copy_naive,
@@ -121,6 +123,28 @@ def test_find_copy_matches_naive_oracle():
                     fast = find_copy(host, p, mode, thin) is not None
                     slow = find_copy_naive(host, p, mode, thin) is not None
                     assert fast == slow, (n, host.members, mode, thin)
+
+
+def test_chain_copy_matches_backtracking():
+    # chain copies are the lexicographically first ones the backtracking
+    # search returns, whatever the labels of the chain's elements
+    rng = random.Random(2024)
+    for _ in range(120):
+        n = rng.randint(0, 6)
+        host = random_family(n, rng, density=rng.choice([0.2, 0.4, 0.7]))
+        for l in range(6):
+            perm = list(range(l))
+            rng.shuffle(perm)
+            chain = _pattern_from_strict(l, ((perm[i], perm[j]) for i in range(l)
+                                             for j in range(i + 1, l)))
+            for mode in ("weak", "strong"):
+                for thin in (False, True):
+                    emb = find_copy(host, chain, mode, thin)
+                    want = _search_embedding(host.members, chain, mode, thin)
+                    assert (emb and emb.images) == want, (n, host.members, perm, mode, thin)
+                    if n <= 4 and l <= 4:
+                        naive = find_copy_naive(host, chain, mode, thin)
+                        assert (emb is None) == (naive is None)
 
 
 def test_structural_params():

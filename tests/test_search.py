@@ -8,7 +8,13 @@ import pytest
 from rainbowramsey.lattice import Family, all_masks, canonical_key
 from rainbowramsey.lubell import binom
 from rainbowramsey.corechain import comparability
-from rainbowramsey.posets import find_copy, find_copy_naive, poset_by_name, standard_poset
+from rainbowramsey.posets import (
+    _search_embedding,
+    find_copy,
+    find_copy_naive,
+    poset_by_name,
+    standard_poset,
+)
 from rainbowramsey.colorings import (
     Coloring,
     _rainbow_strong_antichain,
@@ -21,6 +27,7 @@ from rainbowramsey.search import (
     _interior_table,
     _order_bitsets,
     _rainbow_antichain_through,
+    _rainbow_chain_through,
     _seed_three_point,
     _two_color_pareto_dp,
     fork_can_avoid,
@@ -406,37 +413,48 @@ def test_anchored_mono_check_matches_naive():
 
 
 def test_anchored_rainbow_check_matches_unanchored():
-    # a rainbow strong A_k through the newest set is found exactly when the
-    # unanchored search finds one among all colored sets
-    rng = random.Random(8128)
-    found = 0
-    for _ in range(80):
-        n = rng.randint(2, 4)
-        k = rng.randint(1, 4)
-        ncolors = rng.randint(max(1, k - 1), k + 2)
-        inc = _order_bitsets(n)[2]
-        color = {}
-        colored = 0
-        class_bits = [0] * ncolors
-        for x in _canonical(n):
-            c = rng.randrange(ncolors + 1)
-            if c == ncolors:
-                continue  # left uncolored
-            before = tuple(m for m in _canonical(n) if m in color)
-            color[x] = c
-            through = _rainbow_antichain_through(x, k, colored, class_bits[c], inc, color.get)
-            whole = _rainbow_strong_antichain(before + (x,), color.get, k)
-            assert (through is None) == (whole is None)
-            if through is not None:
-                found += 1
-                copy = through + (x,)
-                assert len({color[m] for m in copy}) == k
-                assert all(a & ~b and b & ~a for a in copy for b in copy if a != b)
-                del color[x]  # refused: the colored sets stay copy-free
-                continue
-            colored |= 1 << x
-            class_bits[c] |= 1 << x
-    assert found > 20
+    # a rainbow strong A_k (or a rainbow C_k) through the newest set is
+    # found exactly when the unanchored search finds one among all colored sets
+    for kind in ("antichain", "chain"):
+        rng = random.Random(8128)
+        found = 0
+        for _ in range(80):
+            n = rng.randint(2, 4)
+            k = rng.randint(1 if kind == "antichain" else 2, 4)
+            ncolors = rng.randint(max(1, k - 1), k + 2)
+            below, _, inc = _order_bitsets(n)
+            color = {}
+            colored = 0
+            class_bits = [0] * ncolors
+            for x in _canonical(n):
+                c = rng.randrange(ncolors + 1)
+                if c == ncolors:
+                    continue  # left uncolored
+                before = tuple(m for m in _canonical(n) if m in color)
+                color[x] = c
+                if kind == "antichain":
+                    through = _rainbow_antichain_through(x, k, colored, class_bits[c], inc,
+                                                         color.get)
+                    whole = _rainbow_strong_antichain(before + (x,), color.get, k)
+                else:
+                    through = _rainbow_chain_through(x, standard_poset("chain", k - 1), colored,
+                                                     class_bits[c], below, color.get)
+                    whole = _search_embedding(before + (x,), standard_poset("chain", k), "weak",
+                                              False, color_of=color.get)
+                assert (through is None) == (whole is None)
+                if through is not None:
+                    found += 1
+                    copy = through + (x,)
+                    assert len({color[m] for m in copy}) == k
+                    if kind == "antichain":
+                        assert all(a & ~b and b & ~a for a in copy for b in copy if a != b)
+                    else:
+                        assert all(a & ~b == 0 and a != b for a, b in zip(copy, copy[1:]))
+                    del color[x]  # refused: the colored sets stay copy-free
+                    continue
+                colored |= 1 << x
+                class_bits[c] |= 1 << x
+        assert found > 20, kind
 
 
 def _digest(col):
