@@ -289,14 +289,17 @@ def _max_partition_enumerate(fam: Family) -> MaxPartition:
     return MaxPartition(n, blocks, leftover)
 
 
-def _chains_up_avoiding(start: int, n: int, avoid: frozenset) -> int:
-    """Number of saturated chains start -> [n] whose sets above start all miss avoid."""
+def _max_partition_dp(fam: Family) -> MaxPartition:
+    """blocks[f] = up(f) * |f|!, where up(g) counts the saturated chains
+    g -> [n] whose sets strictly above g all miss fam.  up does not depend
+    on the member that starts the walk (f is never strictly above f), so
+    one memo serves every member."""
+    n = fam.ground
     full = full_mask(n)
-    memo = {}
+    avoid = fam.member_set()
+    memo = {full: 1}
 
-    def rec(g):
-        if g == full:
-            return 1
+    def up(g):
         got = memo.get(g)
         if got is not None:
             return got
@@ -307,21 +310,11 @@ def _chains_up_avoiding(start: int, n: int, avoid: frozenset) -> int:
             free ^= bit
             nxt = g | bit
             if nxt not in avoid:
-                total += rec(nxt)
+                total += up(nxt)
         memo[g] = total
         return total
 
-    return rec(start)
-
-
-def _max_partition_dp(fam: Family) -> MaxPartition:
-    n = fam.ground
-    members = fam.member_set()
-    blocks = {}
-    for f in fam.members:
-        avoid = frozenset(members - {f})
-        up = _chains_up_avoiding(f, n, avoid)
-        blocks[f] = up * factorial(f.bit_count())
+    blocks = {f: up(f) * factorial(f.bit_count()) for f in fam.members}
     leftover = factorial(n) - sum(blocks.values())
     return MaxPartition(n, blocks, leftover)
 
@@ -331,7 +324,8 @@ def max_partition(fam: Family, mode: str = "auto") -> MaxPartition:
 
     blocks[F] counts chains whose largest set of fam is F; leftover counts
     chains disjoint from fam.  mode "enumerate" walks all n! chains
-    (n <= 10), mode "dp" counts ascending chains per member (n <= 20);
+    (n <= 10), mode "dp" counts ascending chains with one memo shared by
+    every member (n <= 20);
     both are exact and agree.
     """
     n = fam.ground

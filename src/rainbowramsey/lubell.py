@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .lattice import Family, LatticeError, is_subset, max_partition
+from .lattice import Family, LatticeError, max_partition
 
 # Pascal rows up to n = 64, PASCAL[n][k] = C(n, k).
 PASCAL = [[1]]
@@ -70,16 +70,38 @@ def maxpart_identity_residual(fam: Family, mode: str = "enumerate") -> Fraction:
 
     which is exactly zero for every family.  Uses direct chain
     enumeration by default (ground <= 8).
+
+    With N_F(k) members of size k below F and m = |F|, each term is
+    |C_{n,F}| * N_F(k) * k! (m-k)! * (n!/m!) / n!^2, so the right-hand
+    side is one integer numerator over n!^2.  No division assumes that
+    |C_{n,F}| is a multiple of m!, so a wrong count leaves a nonzero
+    residual.
     """
     n = fam.ground
     if mode == "enumerate" and n > 8:
         raise LatticeError(f"residual check by enumeration capped at n=8, got {n}")
     part = max_partition(fam, mode=mode)
-    nfact = factorial(n)
-    rhs = Fraction(0)
+    fact = [factorial(i) for i in range(n + 1)]
+    nfact = fact[n]
+    members = fam.member_set()
+    num = 0
     for f, count in part.blocks.items():
         if count == 0:
             continue
-        inner = lubell_mass_in(f.bit_count(), (g for g in fam.members if is_subset(g, f)))
-        rhs += Fraction(count, nfact) * inner
-    return lubell_mass(fam) - rhs
+        m = f.bit_count()
+        below = [0] * (m + 1)
+        if 1 << m <= len(members):
+            sub = f
+            while True:
+                if sub in members:
+                    below[sub.bit_count()] += 1
+                if not sub:
+                    break
+                sub = (sub - 1) & f
+        else:
+            for g in fam.members:
+                if g & ~f == 0:
+                    below[g.bit_count()] += 1
+        inner = sum(c * fact[k] * fact[m - k] for k, c in enumerate(below) if c)
+        num += count * inner * (nfact // fact[m])
+    return lubell_mass(fam) - Fraction(num, nfact * nfact)

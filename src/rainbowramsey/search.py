@@ -460,30 +460,49 @@ def _threshold2(n, partial):
     No rainbow strong A_2 means the two classes are mutually comparable,
     so for each class-1 choice the best class 2 is every remaining set
     comparable to all of class 1 (supersets of smaller class-2 choices
-    only help: domination).
+    only help: domination).  A class-1 choice h1 is split into its low
+    and high halves of the 2^n set bits; meets[x] holds the sets
+    comparable to every set in the half x, so the sets comparable to all
+    of h1 take one AND.  The first h1 in numeric order that strictly
+    beats the incumbent is kept.
     """
     size = 1 << n
     everything = (1 << size) - 1
     comp = [everything ^ row for row in _order_bitsets(n)[2]]
+    lo_w = size // 2
+
+    def meets(rows):
+        table = [everything]
+        for row in rows:
+            table += [m & row for m in table]
+        return table
+
+    meets_lo = meets(comp[:lo_w])
+    meets_hi = meets(comp[lo_w:])
+    lo_count = [lo.bit_count() for lo in range(1 << lo_w)]
+    # the low half's class-2 candidates, less the low half itself
+    lo_free = [m & ~lo for lo, m in enumerate(meets_lo)]
     best = -1
     best_pair = (0, 0)
-    for h1 in range(1 << size):
-        allowed = everything
-        rest = h1
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            allowed &= comp[bit.bit_length() - 1]
+    for hi, hm in enumerate(meets_hi):
+        hh = hi << lo_w
+        hc = hi.bit_count()
         if partial:
-            h2 = allowed & ~h1
-        else:
-            h2 = everything & ~h1
-            if h2 & ~allowed:
+            free = hm & ~hh
+            if min(hc + lo_w, free.bit_count()) <= best:
                 continue
-        v = min(h1.bit_count(), h2.bit_count())
+            row = [min(hc + c, (m & free).bit_count()) for m, c in zip(lo_free, lo_count)]
+        else:
+            if min(hc + lo_w, size - hc) <= best:
+                continue
+            # class 2 is the rest of B_n, which must be comparable to h1
+            row = [min(hc + c, size - hc - c) if (m & hm) | lo | hh == everything else -1
+                   for lo, (m, c) in enumerate(zip(meets_lo, lo_count))]
+        v = max(row)
         if v > best:
+            lo = row.index(v)
             best = v
-            best_pair = (h1, h2)
+            best_pair = (hh | lo, lo_free[lo] & free if partial else everything & ~(hh | lo))
     witness = _coloring_from_classes(
         n, [list(_bits_of(best_pair[0])), list(_bits_of(best_pair[1]))],
         total=not partial)

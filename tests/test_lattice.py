@@ -77,6 +77,27 @@ def test_max_partition_modes_agree():
         assert a.total() == factorial(n)
 
 
+def test_max_partition_dp_matches_enumeration():
+    # one shared up-chain memo gives the literal walk's blocks, key order
+    # and leftover, edge families included
+    # (the walk is cached up to n = 8; one n = 9 family costs about 1 s)
+    rng = random.Random(2024)
+    fams = [random_family(9, rng, density=0.2)]
+    for n in range(0, 9):
+        full = full_mask(n)
+        fams += [Family.make(n, []), Family.make(n, [0]), Family.make(n, [full]),
+                 Family.make(n, [0, full]), Family.whole_cube(n)]
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        fams.append(random_family(n, rng, density=rng.choice([0.05, 0.2, 0.5, 0.9])))
+    for fam in fams:
+        a = max_partition(fam, mode="enumerate")
+        b = max_partition(fam, mode="dp")
+        assert list(b.blocks) == list(fam.members)
+        assert list(b.blocks.items()) == list(a.blocks.items())
+        assert b.leftover == a.leftover
+
+
 def test_max_partition_mode_limits():
     fam = Family.make(11, [0])
     with pytest.raises(LatticeError):

@@ -1,12 +1,23 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from rainbowramsey.lattice import Family, LatticeError, all_masks, random_family
+from rainbowramsey import lubell
+from rainbowramsey.lattice import (
+    Family,
+    LatticeError,
+    MaxPartition,
+    all_masks,
+    is_subset,
+    max_partition,
+    random_family,
+)
 from rainbowramsey.lubell import (
     binom,
     lubell_mass,
+    lubell_mass_in,
     lubell_subcube,
     lubell_subcube_direct,
     maxpart_identity_residual,
@@ -62,6 +73,42 @@ def test_residual_zero_random():
         n = rng.randint(1, 7)
         fam = random_family(n, rng, density=rng.choice([0.2, 0.4]))
         assert maxpart_identity_residual(fam) == 0
+
+
+def _residual_oracle(fam, part):
+    # the identity's right-hand side as one Fraction per block, each over
+    # an is_subset scan of all members
+    nfact = factorial(fam.ground)
+    rhs = Fraction(0)
+    for f, count in part.blocks.items():
+        if count:
+            inner = lubell_mass_in(f.bit_count(), (g for g in fam.members if is_subset(g, f)))
+            rhs += Fraction(count, nfact) * inner
+    return lubell_mass(fam) - rhs
+
+
+def test_residual_matches_fraction_oracle_on_perturbed_counts(monkeypatch):
+    # wrong chain counts, some not multiples of |F|!, must leave the same
+    # nonzero residual as the per-block Fraction sum
+    rng = random.Random(808)
+    fams = [Family.whole_cube(4), Family.make(9, [0b11, 0b1011, 0b110001011]),
+            Family.make(6, [0, 0b111111])]
+    fams += [random_family(n, rng, density=rng.choice([0.05, 0.3, 0.7]))
+             for n in (rng.randint(1, 9) for _ in range(60))]
+    nonzero = 0
+    for fam in fams:
+        true = max_partition(fam, "dp")
+        blocks = dict(true.blocks)
+        for f in rng.sample(list(blocks), min(3, len(blocks))):
+            blocks[f] += rng.choice([-2, -1, 1, 3, factorial(f.bit_count())])
+        part = MaxPartition(fam.ground, blocks, true.leftover)
+        monkeypatch.setattr(lubell, "max_partition", lambda fam, mode, part=part: part)
+        got = maxpart_identity_residual(fam, "dp")
+        assert got == _residual_oracle(fam, part)
+        nonzero += got != 0
+        monkeypatch.setattr(lubell, "max_partition", lambda fam, mode, part=true: part)
+        assert maxpart_identity_residual(fam, "dp") == _residual_oracle(fam, true) == 0
+    assert nonzero > 40
 
 
 def test_k_lym_bound_on_chain_free_families():

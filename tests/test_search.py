@@ -494,6 +494,21 @@ def test_pinned_threshold3_trees(partial, nodes, witness):
         6, {"max_min": 5, "nodes": nodes}, witness)
 
 
+@pytest.mark.parametrize("partial, pins", [
+    (False, [(1, "f8e386787746dc92"), (2, "4c268e66230b6949"), (3, "aec2227f7086bce9"),
+             (3, "98bf73c458c7f452"), (3, "87b9c28be06f2a52")]),
+    (True, [(1, "141c8079ac576404"), (2, "4eabff8bd1ab2b41"), (3, "2f3f1bef2506c8d7"),
+            (3, "5d03908bb9dd518f"), (4, "4aba158a22544661")]),
+], ids=["F(n,2)", "F'(n,2)"])
+def test_pinned_threshold2_witnesses(partial, pins):
+    # the sweep keeps the first class-1 set, in numeric order, that
+    # strictly beats the incumbent, so the witness is pinned too
+    for n, (value, witness) in enumerate(pins):
+        res = threshold_F(n, 2, partial)
+        assert (res.value, res.details, _digest(res.witness)) == (
+            value, {"max_min": value - 1}, witness), n
+
+
 @pytest.mark.parametrize("run", [
     lambda: ramsey([C3, C3], "weak", 4, budget=0),
     lambda: rainbow_ramsey(C3, C3, "weak", 4, budget=0),
