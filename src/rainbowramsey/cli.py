@@ -135,7 +135,7 @@ def _cmd_lubell(args):
     else:
         fam = _read_family(args.family)
         if args.residual:
-            v = maxpart_identity_residual(fam)
+            v = maxpart_identity_residual(fam, "auto")
             body = {"problem": f"max-partition residual (n={fam.ground})", "value": _jsonable(v)}
         else:
             v = lubell_mass(fam)
@@ -230,29 +230,31 @@ def _build_parser():
     common.add_argument("--out", help="write the result file here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=20250811)
-    common.add_argument("--budget", type=int, default=2_000_000,
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=2_000_000,
                         help="node cap for exhaustive searches")
-    common.add_argument("--n-cap", type=int, default=3, dest="n_cap")
+    n_cap = argparse.ArgumentParser(add_help=False)
+    n_cap.add_argument("--n-cap", type=int, default=3, dest="n_cap")
 
     parser = _Parser(prog="rainbowramsey",
                      description="exact rainbow Ramsey toolkit for the Boolean lattice")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("ramsey", parents=[common])
+    p = sub.add_parser("ramsey", parents=[common, budget, n_cap])
     p.add_argument("--p", action="append", required=True,
                    help="poset name (repeat per color), e.g. --p C3 --p C3")
     p.add_argument("--mode", choices=("weak", "strong"), default="weak")
     p.add_argument("--no-symmetry", action="store_true")
     p.set_defaults(handler=_cmd_ramsey)
 
-    p = sub.add_parser("rainbow", parents=[common])
+    p = sub.add_parser("rainbow", parents=[common, budget, n_cap])
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--mode", choices=("weak", "strong"), default="weak")
     p.add_argument("--no-symmetry", action="store_true")
     p.set_defaults(handler=_cmd_rainbow)
 
-    p = sub.add_parser("threshold", parents=[common])
+    p = sub.add_parser("threshold", parents=[common, budget])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--partial", action="store_true")
@@ -264,7 +266,7 @@ def _build_parser():
     p.add_argument("--sweep", type=int, help="also compute up to this n (tabular output)")
     p.set_defaults(handler=_cmd_two_color)
 
-    p = sub.add_parser("fork", parents=[common])
+    p = sub.add_parser("fork", parents=[common, budget, n_cap])
     p.add_argument("--which", choices=("g", "f"), default="g")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)

@@ -19,6 +19,7 @@ from .lattice import (
     canonical_key,
     full_mask,
     is_subset,
+    order_rows,
     submasks,
     supermasks,
 )
@@ -143,44 +144,22 @@ class Coloring:
 # pattern checkers
 # ---------------------------------------------------------------------------
 
-def _rainbow_strong_antichain(members, color_of, k):
-    """k pairwise-incomparable members with pairwise distinct colors, or None.
+def _rainbow_strong_antichain(classes, inc_row, k):
+    """k pairwise-incomparable positions from k distinct classes, or None.
 
-    Color-major backtracking, scarcest color class first (one candidate per
-    chosen color, colors skippable within the slack #colors - k); searches
-    are deterministic and exhaustive, so None is a proof of absence.  Each
-    class is a bitset of member indices: the candidates for a color are
-    the set bits of allowed & class, lowest first, and the last color
-    takes the lowest one.
+    classes is a list of nonempty bitsets of positions, one per color in
+    color order; inc_row(i) is the bitset of the positions incomparable to
+    position i.  Color-major backtracking, scarcest class first (ties in
+    color order; one candidate per chosen class, classes skippable within
+    the slack #classes - k); the search is deterministic and exhaustive,
+    so None is a proof of absence.  The candidates for a class are the set
+    bits of allowed & class, lowest first, and the last class takes the
+    lowest one.  Returns the chosen positions in the order chosen.
     """
-    m = len(members)
-    if m < k:
+    if len(classes) < k:
         return None
-    by_color = {}
-    bit = 1
-    for mask in members:
-        c = color_of(mask)
-        by_color[c] = by_color.get(c, 0) | bit
-        bit <<= 1
-    if len(by_color) < k:
-        return None
-    class_bits = [bits for _, _, bits in
-                  sorted((bits.bit_count(), c, bits) for c, bits in by_color.items())]
+    class_bits = sorted(classes, key=int.bit_count)
     ncolors = len(class_bits)
-    inc = {}
-
-    def inc_row(i):
-        """Bitset of the members incomparable to member i, built on first use."""
-        row = inc.get(i)
-        if row is None:
-            mi = members[i]
-            row = 0
-            for j, mj in enumerate(members):
-                if mi & ~mj and mj & ~mi:
-                    row |= 1 << j
-            inc[i] = row
-        return row
-
     chosen = []
 
     def rec(pos, allowed, skips_left):
@@ -204,8 +183,8 @@ def _rainbow_strong_antichain(members, color_of, k):
             return True
         return False
 
-    if rec(0, (1 << m) - 1, ncolors - k):
-        return tuple(sorted((members[i] for i in chosen), key=canonical_key))
+    if rec(0, -1, ncolors - k):
+        return tuple(chosen)
     return None
 
 
@@ -242,9 +221,25 @@ def find_pattern(col: Coloring, pattern: PosetPattern, mode: str = "weak",
                         emb = Embedding(tuple(picks), mode)
                         return (emb, tuple(col.color(m) for m in picks))
             return None
-        images = _rainbow_strong_antichain(members, col.color, k)
-        if images is None:
+        classes = [0] * col.num_colors
+        for i, (_, c) in enumerate(col.items):
+            classes[c] |= 1 << i
+        up, down = order_rows(members)
+        everyone = (1 << len(members)) - 1
+        inc = {}
+
+        def inc_row(i):
+            """The members incomparable to member i, built on first use."""
+            row = inc.get(i)
+            if row is None:
+                x = members[i]
+                row = inc[i] = everyone & ~(up(x) | down(x))
+            return row
+
+        chosen = _rainbow_strong_antichain(classes, inc_row, k)
+        if chosen is None:
             return None
+        images = tuple(sorted((members[i] for i in chosen), key=canonical_key))
         return (Embedding(images, mode), tuple(col.color(m) for m in images))
 
     images = _search_embedding(members, pattern, mode, thin=False, color_of=col.color)

@@ -1,4 +1,4 @@
-"""Boolean lattice B_n over bitmasks: regions, families, maximal-chain counts.
+"""Boolean lattice B_n over bitmasks: order rows, regions, families, maximal-chain counts.
 
 A subset of [n] = {1, ..., n} is a machine integer whose bit i-1 is set
 iff element i is in the subset.  Ground sizes are capped at 63 so subset
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
 from math import factorial
 
 MAX_GROUND = 63
@@ -80,6 +79,47 @@ def supermasks(mask: int, n: int):
     free = full_mask(n) & ~mask
     for extra in submasks(free):
         yield mask | extra
+
+
+def order_rows(members):
+    """(up, down) for a sequence of distinct masks: up(x) is the bitset of
+    the positions of the members containing x, down(x) that of the members
+    contained in x (x itself included when it is a member).
+
+    One row per ground element holds the positions of the members that
+    have it: up(x) ANDs the rows of x's elements, down(x) clears the rows
+    of the elements outside x.
+    """
+    everyone = (1 << len(members)) - 1
+    width = max(members, default=0).bit_length()
+    rows = [0] * width
+    for i, x in enumerate(members):
+        bit = 1 << i
+        while x:
+            low = x & -x
+            x ^= low
+            rows[low.bit_length() - 1] |= bit
+
+    def up(x):
+        if x >> width:
+            return 0
+        acc = everyone
+        while x:
+            low = x & -x
+            x ^= low
+            acc &= rows[low.bit_length() - 1]
+        return acc
+
+    def down(x):
+        out = ~x & ((1 << width) - 1)
+        hit = 0
+        while out:
+            low = out & -out
+            out ^= low
+            hit |= rows[low.bit_length() - 1]
+        return everyone & ~hit
+
+    return up, down
 
 
 def _check_ground(n: int):
@@ -252,41 +292,31 @@ class MaxPartition:
 
 _ENUM_LIMIT = 10
 _DP_LIMIT = 20
-_chain_cache: dict = {}
-
-
-def _descending_chains(n: int):
-    """All n! maximal chains of B_n, each as masks from [n] down to 0."""
-    if n in _chain_cache:
-        return _chain_cache[n]
-    full = full_mask(n)
-    chains = []
-    for perm in permutations(range(n)):
-        masks = [full]
-        cur = full
-        for i in perm:
-            cur &= ~(1 << i)
-            masks.append(cur)
-        chains.append(tuple(masks))
-    chains = tuple(chains)
-    if n <= 8:
-        _chain_cache[n] = chains
-    return chains
 
 
 def _max_partition_enumerate(fam: Family) -> MaxPartition:
+    """Walk every maximal chain depth first from [n] down to the empty set,
+    carrying the first member met; each leaf counts one chain."""
     n = fam.ground
     members = fam.member_set()
-    blocks = {m: 0 for m in fam.members}
-    leftover = 0
-    for chain in _descending_chains(n):
-        for mask in chain:
-            if mask in members:
-                blocks[mask] += 1
-                break
-        else:
-            leftover += 1
-    return MaxPartition(n, blocks, leftover)
+    counts = dict.fromkeys(fam.members, 0)
+    counts[None] = 0
+
+    def walk(g, hit):
+        if hit is None and g in members:
+            hit = g
+        if not g:
+            counts[hit] += 1
+            return
+        rest = g
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            walk(g ^ low, hit)
+
+    walk(full_mask(n), None)
+    leftover = counts.pop(None)
+    return MaxPartition(n, counts, leftover)
 
 
 def _max_partition_dp(fam: Family) -> MaxPartition:

@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .lattice import Family, are_comparable, is_subset
+from .lattice import Family, are_comparable, is_subset, order_rows
 
 
 class PosetError(ValueError):
@@ -222,8 +222,8 @@ def _chain_copy(members, pattern: PosetPattern):
     by up-heights over member-index bitsets instead of backtracking.
 
     A strict chain is strong and thin, so mode and thin do not matter.
-    The strict supersets of member i are the members holding every
-    element of members[i], less i itself; they all come after i in
+    The strict supersets of member i are the members containing members[i]
+    (lattice.order_rows), less i itself; they all come after i in
     canonical order.  layers[j] is the bitset of the members that head an
     upward chain of more than j members (heights capped at the pattern
     size).  The backtracking answer is the lexicographically first index
@@ -233,27 +233,13 @@ def _chain_copy(members, pattern: PosetPattern):
     l = pattern.size
     if l == 0:
         return ()
-    m = len(members)
-    everyone = (1 << m) - 1
-    containing = [0] * max(members, default=0).bit_length()
-    for i, x in enumerate(members):
-        bit = 1 << i
-        while x:
-            low = x & -x
-            x ^= low
-            containing[low.bit_length() - 1] |= bit
+    up, _ = order_rows(members)
 
     def supersets(i):
-        acc = everyone ^ 1 << i
-        x = members[i]
-        while x:
-            low = x & -x
-            x ^= low
-            acc &= containing[low.bit_length() - 1]
-        return acc
+        return up(members[i]) ^ 1 << i
 
     layers = [0] * l
-    for i in range(m - 1, -1, -1):
+    for i in range(len(members) - 1, -1, -1):
         above = supersets(i)
         h = 1
         while h < l and above & layers[h - 1]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations, repeat
 from math import lcm
 
-from .lattice import all_masks, canonical_key, full_mask
+from .lattice import all_masks, canonical_key, full_mask, order_rows
 from .lubell import binom, lubell_interval
 from .colorings import Coloring, _rainbow_strong_antichain
 from .posets import PosetPattern, standard_poset, _search_embedding
@@ -82,32 +82,15 @@ _ORDER_BITS = {}
 def _order_bitsets(n):
     """(below, above, inc): bitsets over mask values of the strict subsets
     of each mask, of its strict supersets and of the masks incomparable
-    to it."""
+    to it, from lattice.order_rows over all of B_n."""
     tables = _ORDER_BITS.get(n)
     if tables is None:
-        size = 1 << n
-        below = [0] * size
-        for m in range(1, size):
-            acc = 0
-            rest = m
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                child = m ^ bit
-                acc |= (1 << child) | below[child]
-            below[m] = acc
-        above = [0] * size
-        for m in range(size - 1, -1, -1):
-            acc = 0
-            free = full_mask(n) & ~m
-            while free:
-                bit = free & -free
-                free ^= bit
-                parent = m | bit
-                acc |= (1 << parent) | above[parent]
-            above[m] = acc
-        everything = (1 << size) - 1
-        inc = [everything & ~(below[m] | above[m] | 1 << m) for m in range(size)]
+        masks = range(1 << n)
+        up, down = order_rows(masks)
+        below = [down(m) ^ 1 << m for m in masks]
+        above = [up(m) ^ 1 << m for m in masks]
+        everything = (1 << len(masks)) - 1
+        inc = [everything ^ (b | a | 1 << m) for m, b, a in zip(masks, below, above)]
         tables = (below, above, inc)
         if n <= 12:
             _ORDER_BITS[n] = tables
@@ -175,22 +158,13 @@ class _MonoClass:
             layers[j] &= keep
 
 
-def _rainbow_antichain_through(x, k, colored, same, inc, color_of):
-    """A rainbow strong A_k through the newest set x, given that the sets
-    colored before x hold none: a rainbow strong A_{k-1} among the colored
-    sets incomparable to x whose color differs from x's.  colored is the
-    bitset of the sets colored before x, same that of x's color class;
-    returns the k-1 other sets or None."""
-    cand = inc[x] & colored & ~same
-    return _rainbow_strong_antichain(tuple(_bits_of(cand)), color_of, k - 1)
-
-
 def _rainbow_chain_through(x, shorter, colored, same, below, color_of):
     """A rainbow C_l through the newest set x, given that the sets colored
     before x hold none: x is the top of any new copy (no colored set lies
     above it), so a rainbow copy of shorter = C_{l-1} among the colored
-    strict subsets of x whose color differs from x's.  Arguments as for
-    _rainbow_antichain_through; returns the l-1 other sets or None."""
+    strict subsets of x whose color differs from x's.  colored is the
+    bitset of the sets colored before x, same that of x's color class;
+    returns the l-1 other sets or None."""
     cand = below[x] & colored & ~same
     return _search_embedding(tuple(_bits_of(cand)), shorter, "weak", False,
                              color_of=color_of)
@@ -343,9 +317,13 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
             if q_antichain:
                 if mode == "weak":
                     return True  # q_size distinct colors suffice for a weak antichain copy
-                return _rainbow_antichain_through(
-                    x, q_size, prefix_bits[t], class_bits[c], inc,
-                    color_of.__getitem__) is not None
+                # a new copy goes through x: a rainbow strong A_{q-1} among
+                # the colored sets incomparable to x, in the other classes
+                cand = inc[x] & prefix_bits[t]
+                others = [b for d in range(used[t] + 1)
+                          if d != c and (b := class_bits[d] & cand)]
+                return _rainbow_strong_antichain(others, inc.__getitem__,
+                                                 q_size - 1) is not None
             if q_shorter is not None:
                 return _rainbow_chain_through(
                     x, q_shorter, prefix_bits[t], class_bits[c], below,
@@ -641,36 +619,21 @@ def _two_color_size(n):
     return best, best_cfg
 
 
-def _size_witness(n, cfg, target):
-    """Materialize a partial 2-coloring achieving min class size target."""
-    x, y, s = cfg
-    cuts = [0]
-    if x:
-        cuts.append(x)
-    if y and x + y != cuts[-1]:
-        cuts.append(x + y)
-    for u in range(x + y + 1, n + 1):
-        cuts.append(u)
-    if cuts[-1] != n:
-        cuts.append(n)
-    points = [full_mask(c) for c in cuts]
-    class_sets = ([], [])
-    if x:
-        for m in range(1 << n):
-            if m not in (0, points[1]) and m & ~points[1] == 0:
-                class_sets[0].append(m)
-    if y:
-        top = full_mask(x + y)
-        for m in range(1 << n):
-            if m not in (full_mask(x), top) and m & ~top == 0 and m & full_mask(x) == full_mask(x):
-                class_sets[1].append(m)
-    sizes = [len(class_sets[0]), len(class_sets[1])]
-    for pm in points:
-        c = 0 if sizes[0] <= sizes[1] else 1
-        class_sets[c].append(pm)
-        sizes[c] += 1
-    assert min(sizes) >= target
-    return _coloring_from_classes(n, class_sets)
+def _size_chain_config(n, cfg):
+    """The chain config (see _chain_config_coloring) of a split (x, y, s):
+    the x-block from the empty set in class 0, the y-block above it in
+    class 1, then unit steps up to [n].  Each chain point, bottom up, goes
+    to the class that is smaller so far, ties to class 0."""
+    x, y, _ = cfg
+    steps = ([(x, 0)] if x else []) + ([(x + y, 1)] if y else [])
+    steps += [(lvl, None) for lvl in range(x + y + 1, n + 1)]
+    sizes = [(1 << x) - 2 if x else 0, (1 << y) - 2 if y else 0]
+    config = []
+    for lvl, blk_to in [(0, None)] + steps:
+        owner = 0 if sizes[0] <= sizes[1] else 1
+        sizes[owner] += 1
+        config.append((lvl, blk_to, owner))
+    return config
 
 
 def _interior_table(n, pts, closed):
@@ -820,7 +783,7 @@ def two_color_partial_exact(n: int, objective: str = "size") -> SearchResult:
         raise SearchError("two_color_partial_exact supports 1 <= n <= 40")
     if objective == "size":
         v, cfg = _two_color_size(n)
-        witness = _size_witness(n, cfg, v) if n <= 16 else None
+        witness = _chain_config_coloring(n, _size_chain_config(n, cfg)) if n <= 16 else None
         return SearchResult(f"F'({n},2)", v + 1, "composition-DP", witness,
                             (n, n), details={"max_min": v, "blocks": cfg})
     if objective == "mass":

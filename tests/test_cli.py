@@ -181,3 +181,27 @@ def test_repro_registry_covers_all_criteria_one_to_one():
     from rainbowramsey.criteria import REGISTRY
     numbers = sorted(num for num, _fn in REGISTRY.values())
     assert numbers == list(range(1, 15))
+
+
+def test_lubell_residual_past_enumeration_range(tmp_path, capsys):
+    # n = 9..20 goes to the max-partition dp; past n = 20 it is refused
+    path = tmp_path / "fam.txt"
+    path.write_text("n=9\n1\n1,2\n3,4,5\n")
+    code, out = run_cli(capsys, "lubell", "--family", str(path), "--residual")
+    assert code == 0
+    assert json.loads(out)["result"] == {"problem": "max-partition residual (n=9)",
+                                         "value": "0/1"}
+    path.write_text("n=21\n1\n")
+    assert main(["lubell", "--family", str(path), "--residual"]) == 1
+
+
+def test_search_flags_only_where_read(capsys):
+    # --budget and --n-cap belong to the subcommands that read them
+    assert main(["threshold", "--n", "3", "--k", "2", "--n-cap", "99", "--budget", "1"]) == 1
+    assert main(["two-color", "--n", "4", "--budget", "1"]) == 1
+    assert main(["lubell", "--subcube", "4", "1", "1", "--n-cap", "2"]) == 1
+    code, out = run_cli(capsys, "threshold", "--n", "3", "--k", "2", "--budget", "1")
+    assert code == 0 and json.loads(out)["result"]["value"] == 3
+    code, out = run_cli(capsys, "fork", "--which", "f", "--r", "2", "--k", "1",
+                        "--n-cap", "3", "--budget", "1000")
+    assert code == 0

@@ -12,7 +12,6 @@ from rainbowramsey.posets import PosetPattern, _search_embedding, poset_by_name,
 from rainbowramsey.colorings import (
     Coloring,
     ColoringError,
-    _rainbow_strong_antichain,
     consecutive_level_coloring,
     f2_lower_coloring,
     find_pattern,
@@ -273,6 +272,13 @@ def test_find_pattern_rainbow_matches_naive_oracle():
                 assert fast == slow, (n, items, mode, pattern.size)
 
 
+def _rainbow_antichain(col, k):
+    """The image tuple of the rainbow strong A_k that find_pattern returns, or None."""
+    pattern = PosetPattern(k, tuple(tuple(i == j for j in range(k)) for i in range(k)))
+    found = find_pattern(col, pattern, "strong", "rainbow")
+    return None if found is None else found[0].images
+
+
 def test_rainbow_antichain_matches_embedding_search():
     # existence agrees with the generic copy search under a color map
     rng = random.Random(1618)
@@ -282,7 +288,7 @@ def test_rainbow_antichain_matches_embedding_search():
         items = [(m, rng.randrange(rng.randint(1, 5))) for m in all_masks(n) if rng.random() < 0.7]
         col = Coloring(n, items)
         for k, pattern in enumerate(antichains):
-            fast = _rainbow_strong_antichain(col.members, col.color, k)
+            fast = _rainbow_antichain(col, k)
             slow = _search_embedding(col.members, pattern, "strong", False, color_of=col.color)
             assert (fast is None) == (slow is None), (n, items, k)
             if fast is not None:
@@ -298,7 +304,7 @@ def test_rainbow_antichain_pinned_tuples():
     # the returned tuples themselves (first in the search order), not only
     # their existence, are part of every rainbow certificate body
     def found(col, ks):
-        return [_rainbow_strong_antichain(col.members, col.color, k) for k in ks]
+        return [_rainbow_antichain(col, k) for k in ks]
 
     rng = random.Random(4242)
     seeded = []

@@ -9,8 +9,10 @@ from rainbowramsey.lattice import (
     RegionSpec,
     all_masks,
     full_mask,
+    is_subset,
     mask_from_elements,
     max_partition,
+    order_rows,
     random_family,
     region,
 )
@@ -123,3 +125,18 @@ def test_family_json_round_trip():
     fam = Family.make(5, [0b00111, 0b10001])
     assert Family.from_json(fam.to_json()) == fam
     assert '"n": 5' in fam.to_json()
+
+
+def test_order_rows_match_subset_definitions():
+    # positions follow the sequence, in any order; probes go one element
+    # past the widest member, so some name elements no member has
+    rng = random.Random(9091)
+    seqs = [[], [0]] + [list(all_masks(n)) for n in range(8)]
+    for _ in range(40):
+        n = rng.randint(0, 7)
+        seqs.append(rng.sample(range(1 << n), rng.randint(1, 1 << n)))
+    for members in seqs:
+        up, down = order_rows(members)
+        for x in range(1 << (max(members, default=0).bit_length() + 1)):
+            assert up(x) == sum(1 << i for i, m in enumerate(members) if is_subset(x, m))
+            assert down(x) == sum(1 << i for i, m in enumerate(members) if is_subset(m, x))

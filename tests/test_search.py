@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rainbowramsey.lattice import Family, all_masks, canonical_key
+from rainbowramsey.lattice import Family, all_masks, canonical_key, is_subset
 from rainbowramsey.lubell import binom
 from rainbowramsey.corechain import comparability
 from rainbowramsey.posets import (
@@ -26,7 +26,6 @@ from rainbowramsey.search import (
     _MonoClass,
     _interior_table,
     _order_bitsets,
-    _rainbow_antichain_through,
     _rainbow_chain_through,
     _seed_three_point,
     _two_color_pareto_dp,
@@ -368,6 +367,15 @@ def test_pinned_gprime_bodies(n, value, digest):
     assert (res.value, hashlib.sha256(body.encode()).hexdigest()[:16]) == (value, digest)
 
 
+def test_pinned_two_color_size_bodies():
+    # F'(n,2) result bodies (value and witness coloring) for n = 1..16, as
+    # built before the witness went through the chain-config coloring
+    bodies = [two_color_partial_exact(n, "size").to_jsonable() for n in range(1, 17)]
+    assert all(body["witness"] is not None for body in bodies)
+    digest = hashlib.sha256(json.dumps(bodies, sort_keys=True).encode()).hexdigest()[:16]
+    assert digest == "699a58b47b56ca72"
+
+
 def test_two_color_cap_error():
     with pytest.raises(SearchError):
         two_color_partial_exact(41, "size")
@@ -379,6 +387,17 @@ def test_two_color_cap_error():
 
 def _canonical(n):
     return sorted(all_masks(n), key=canonical_key)
+
+
+def test_order_bitsets_match_subset_definitions():
+    for n in range(7):
+        below, above, inc = _order_bitsets(n)
+        masks = list(all_masks(n))
+        for m in masks:
+            assert below[m] == sum(1 << x for x in masks if is_subset(x, m) and x != m)
+            assert above[m] == sum(1 << x for x in masks if is_subset(m, x) and x != m)
+            assert inc[m] == sum(1 << x for x in masks
+                                 if not is_subset(x, m) and not is_subset(m, x))
 
 
 def test_anchored_mono_check_matches_naive():
@@ -433,9 +452,12 @@ def test_anchored_rainbow_check_matches_unanchored():
                 before = tuple(m for m in _canonical(n) if m in color)
                 color[x] = c
                 if kind == "antichain":
-                    through = _rainbow_antichain_through(x, k, colored, class_bits[c], inc,
-                                                         color.get)
-                    whole = _rainbow_strong_antichain(before + (x,), color.get, k)
+                    # the kernel call _avoiding makes: positions are masks
+                    cand = inc[x] & colored
+                    others = [b for d in range(ncolors) if d != c and (b := class_bits[d] & cand)]
+                    through = _rainbow_strong_antichain(others, inc.__getitem__, k - 1)
+                    whole = find_pattern(Coloring(n, list(color.items())),
+                                         standard_poset("antichain", k), "strong", "rainbow")
                 else:
                     through = _rainbow_chain_through(x, standard_poset("chain", k - 1), colored,
                                                      class_bits[c], below, color.get)
