@@ -4,7 +4,8 @@ g_k(r) they govern, and the numeric grid checks of the closed-form
 inequalities behind the mass thresholds.
 """
 
-from rainbowramsey.asymptotics import BoundInputs, binary_entropy, c_sequence, rainbow_antichain_bound, inequality_grid
+from rainbowramsey.asymptotics import (GRID_CLAIMS, BoundInputs, binary_entropy, c_sequence,
+                                       rainbow_antichain_bound, inequality_grid)
 from rainbowramsey.search import fork_f_small, fork_g, fork_g_sweep
 
 print("=" * 70)
@@ -42,7 +43,7 @@ print()
 print("=" * 70)
 print("grid checks of the closed-form inequalities")
 print("=" * 70)
-for check, step in (("tech-a", 1e-3), ("tech-b", 1e-3), ("tech-c", 1e-3), ("ineq1", 1e-4)):
+for check, step in GRID_CLAIMS:
     rep = inequality_grid(check, step)
     arg = ", ".join(f"{x:.4f}" for x in rep.argmax)
     print(f"  {check:7s}: worst slack {rep.max_violation:+.3e} at ({arg}) over {rep.points} points")

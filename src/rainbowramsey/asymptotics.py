@@ -131,6 +131,20 @@ def rainbow_antichain_bound(inputs: BoundInputs) -> dict:
 # grid checks of the closed-form inequalities
 # ---------------------------------------------------------------------------
 
+# The default grid claims, each with its default step: the inequalities
+# subcommand, criterion 12 and demo 06 all read this table.
+GRID_CLAIMS = (("tech-a", 1e-3), ("tech-b", 1e-3), ("tech-c", 1e-3), ("ineq1", 1e-4))
+
+# A grid of more points is refused before any evaluation.  Step 1e-4, the
+# finest default, gives 37.5M points on tech-b and tech-c.
+GRID_MAX_POINTS = 50_000_000
+
+# Beta indices per bounded block of a tech scan: one bound per block is
+# cheap next to the points it skips, and a block that must be evaluated
+# costs few points.
+_BETA_BLOCK = 32
+
+
 @dataclass(frozen=True)
 class GridReport:
     claim: str
@@ -150,6 +164,73 @@ def _tech_value(check, alpha, beta):
     return min(beta + inv, 1.0 / alpha + beta)
 
 
+def _tech_bound(check, alpha, b0, b1):
+    """_tech_value's expressions with beta at b1 but the inverse taken at
+    b0; see _tech_scan for why this bounds every beta in [b0, b1]."""
+    den = 1.0 - (alpha - b0)
+    inv0 = 1.0 / den if den > 0.0 else math.inf  # alpha=1, beta=0 corner
+    if check == "tech-a":
+        return min(1.0 + b1 + inv0, 1.0 / alpha - 1.0 + b1)
+    if check == "tech-b":
+        return min(b1 + inv0 - 1.0, 1.0 / alpha + 1.0 + b1)
+    return min(b1 + inv0, 1.0 / alpha + b1)
+
+
+def _refuse_points(check, grid_step):
+    raise AsymptoticsError(f"{check} at step {grid_step!r} needs more than "
+                           f"{GRID_MAX_POINTS} grid points; use a larger step")
+
+
+def _tech_scan(check, grid_step):
+    """Worst point of a tech grid, scanning each alpha row's beta indices
+    in blocks of _BETA_BLOCK and skipping a block whose bound cannot beat
+    the running worst.
+
+    The skip is exact.  IEEE 754 rounding is monotone, so each operation
+    in the value is non-decreasing in each argument it grows with:
+    j -> fl(j * step) and min(., alpha) are non-decreasing, so
+    b0 <= beta_j <= b1 for j0 <= j <= j1; den = fl(1 - fl(alpha - beta))
+    does not decrease as beta grows, so 1/den (inf at den <= 0) does not
+    increase, and inv_j <= inv0; fl(x + y), fl(x - c) and min are
+    monotone in each argument.  Hence the first term at (beta_j, inv_j)
+    is at most its value at (b1, inv0), the second term at beta_j at
+    most its value at b1, and val_j <= ub = fl(min(t, u) - target) for
+    every j in the block.  The per-point scan takes a point only when
+    val > worst, so a block with ub <= worst holds no point it would
+    take, and skipping it leaves max_violation and argmax bit-identical.
+    Unskipped blocks are evaluated point by point in the same order.
+    """
+    target = 1.0 + SQRT2
+    a_lo, a_hi = (grid_step, 0.5) if check == "tech-a" else (0.5, 1.0)
+    if (a_hi - a_lo) / grid_step > GRID_MAX_POINTS:
+        _refuse_points(check, grid_step)
+    rows = []
+    points = 0
+    for i in range(int(round((a_hi - a_lo) / grid_step)) + 1):
+        alpha = min(a_lo + i * grid_step, a_hi)
+        steps_b = int(alpha / grid_step)
+        points += steps_b + 1
+        if points > GRID_MAX_POINTS:
+            _refuse_points(check, grid_step)
+        rows.append((alpha, steps_b))
+    worst = float("-inf")
+    arg = ()
+    for alpha, steps_b in rows:
+        for j0 in range(0, steps_b + 1, _BETA_BLOCK):
+            j1 = min(j0 + _BETA_BLOCK - 1, steps_b)
+            b0 = min(j0 * grid_step, alpha)
+            b1 = min(j1 * grid_step, alpha)
+            if _tech_bound(check, alpha, b0, b1) - target <= worst:
+                continue
+            for j in range(j0, j1 + 1):
+                beta = min(j * grid_step, alpha)
+                val = _tech_value(check, alpha, beta) - target
+                if val > worst:
+                    worst = val
+                    arg = (alpha, beta)
+    return GridReport(check, worst, arg, points, grid_step)
+
+
 def inequality_grid(check: str, grid_step: float = 1e-3) -> GridReport:
     """Evaluate one closed-form claim over its stated domain on a uniform
     grid and report the worst violation (which should be <= 1e-12 slack).
@@ -157,35 +238,30 @@ def inequality_grid(check: str, grid_step: float = 1e-3) -> GridReport:
     tech-a: alpha <= 1/2; tech-b, tech-c: alpha >= 1/2; all with
     0 <= beta <= alpha <= 1 and target 1 + sqrt(2).  ineq1:
     beta(-beta^2 + (1 + 2 sqrt 2) beta - 2) <= 0 for beta in [0, 1/2].
+
+    The report is that of evaluating every grid point in order; the tech
+    grids skip blocks of points that provably cannot raise the maximum
+    (_tech_scan).  A step that is not finite and positive, or a grid of
+    more than GRID_MAX_POINTS points, is refused before any evaluation.
     """
-    if grid_step <= 0:
-        raise AsymptoticsError("grid_step must be positive")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise AsymptoticsError(f"grid_step must be finite and positive, got {grid_step!r}")
+    if check in ("tech-a", "tech-b", "tech-c"):
+        return _tech_scan(check, grid_step)
+    if check != "ineq1":
+        raise AsymptoticsError(f"unknown check {check!r}")
+    half = 0.5 / grid_step
+    if half > GRID_MAX_POINTS or round(half) + 1 > GRID_MAX_POINTS:
+        _refuse_points(check, grid_step)
     worst = float("-inf")
     arg = ()
     points = 0
-    if check == "ineq1":
-        steps = int(round(0.5 / grid_step))
-        for i in range(steps + 1):
-            beta = min(i * grid_step, 0.5)
-            val = beta * (-beta * beta + (1.0 + 2.0 * SQRT2) * beta - 2.0)
-            points += 1
-            if val > worst:
-                worst = val
-                arg = (beta,)
-        return GridReport(check, worst, arg, points, grid_step)
-    if check not in ("tech-a", "tech-b", "tech-c"):
-        raise AsymptoticsError(f"unknown check {check!r}")
-    target = 1.0 + SQRT2
-    a_lo, a_hi = (grid_step, 0.5) if check == "tech-a" else (0.5, 1.0)
-    steps_a = int(round((a_hi - a_lo) / grid_step))
-    for i in range(steps_a + 1):
-        alpha = min(a_lo + i * grid_step, a_hi)
-        steps_b = int(alpha / grid_step)
-        for j in range(steps_b + 1):
-            beta = min(j * grid_step, alpha)
-            val = _tech_value(check, alpha, beta) - target
-            points += 1
-            if val > worst:
-                worst = val
-                arg = (alpha, beta)
+    steps = int(round(half))
+    for i in range(steps + 1):
+        beta = min(i * grid_step, 0.5)
+        val = beta * (-beta * beta + (1.0 + 2.0 * SQRT2) * beta - 2.0)
+        points += 1
+        if val > worst:
+            worst = val
+            arg = (beta,)
     return GridReport(check, worst, arg, points, grid_step)

@@ -34,8 +34,13 @@ from .search import (
     threshold_F,
     two_color_partial_exact,
 )
-from .asymptotics import c_sequence, inequality_grid
+from .asymptotics import GRID_CLAIMS, c_sequence, inequality_grid
 from .criteria import REGISTRY, run_criterion
+
+
+# defaults of the --budget and --n-cap flags of the exhaustive searches
+_BUDGET = 2_000_000
+_N_CAP = 3
 
 
 class _UsageError(Exception):
@@ -120,10 +125,13 @@ def _cmd_two_color(args):
 
 def _cmd_fork(args):
     if args.which == "g":
+        if args.budget is not None or args.n_cap is not None:
+            raise _UsageError("--budget and --n-cap apply to --which f only")
         value = fork_g(args.r, args.k)
         body = {"problem": f"g_{args.k}({args.r})", "value": value, "method": "formula"}
         return body, [body], 0
-    res = fork_f_small(args.r, args.k, args.n_cap, args.budget)
+    res = fork_f_small(args.r, args.k, _N_CAP if args.n_cap is None else args.n_cap,
+                       _BUDGET if args.budget is None else args.budget)
     return _search_payload(res)
 
 
@@ -206,11 +214,10 @@ def _cmd_constants(args):
 
 
 def _cmd_inequalities(args):
-    checks = [args.check] if args.check else ["tech-a", "tech-b", "tech-c", "ineq1"]
+    claims = [(c, s) for c, s in GRID_CLAIMS if args.check in (None, c)]
     rows = []
-    for check in checks:
-        step = args.step if args.step else (1e-4 if check == "ineq1" else 1e-3)
-        g = inequality_grid(check, step)
+    for check, step in claims:
+        g = inequality_grid(check, step if args.step is None else args.step)
         rows.append({"claim": g.claim, "max_violation": g.max_violation,
                      "argmax": list(g.argmax), "points": g.points, "step": g.step})
     return {"checks": rows}, rows, 0
@@ -231,10 +238,10 @@ def _build_parser():
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=20250811)
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=int, default=2_000_000,
+    budget.add_argument("--budget", type=int, default=_BUDGET,
                         help="node cap for exhaustive searches")
     n_cap = argparse.ArgumentParser(add_help=False)
-    n_cap.add_argument("--n-cap", type=int, default=3, dest="n_cap")
+    n_cap.add_argument("--n-cap", type=int, default=_N_CAP, dest="n_cap")
 
     parser = _Parser(prog="rainbowramsey",
                      description="exact rainbow Ramsey toolkit for the Boolean lattice")
@@ -266,10 +273,14 @@ def _build_parser():
     p.add_argument("--sweep", type=int, help="also compute up to this n (tabular output)")
     p.set_defaults(handler=_cmd_two_color)
 
-    p = sub.add_parser("fork", parents=[common, budget, n_cap])
+    p = sub.add_parser("fork", parents=[common])
     p.add_argument("--which", choices=("g", "f"), default="g")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
+    # --which g is a formula, so these have no default here: given with g
+    # they are refused, and --which f falls back to the shared defaults
+    p.add_argument("--budget", type=int, help=f"--which f only (default {_BUDGET})")
+    p.add_argument("--n-cap", type=int, dest="n_cap", help=f"--which f only (default {_N_CAP})")
     p.set_defaults(handler=_cmd_fork)
 
     p = sub.add_parser("lubell", parents=[common])
@@ -316,8 +327,9 @@ def _build_parser():
     p.set_defaults(handler=_cmd_constants)
 
     p = sub.add_parser("inequalities", parents=[common])
-    p.add_argument("--check", choices=("tech-a", "tech-b", "tech-c", "ineq1"))
-    p.add_argument("--step", type=float)
+    p.add_argument("--check", choices=[c for c, _ in GRID_CLAIMS])
+    p.add_argument("--step", type=float, help="grid step for every check run "
+                   "(default: each check's own); must be finite and positive")
     p.set_defaults(handler=_cmd_inequalities)
 
     p = sub.add_parser("repro", parents=[common])

@@ -37,7 +37,7 @@ from .search import (
     threshold_F,
     two_color_partial_exact,
 )
-from .asymptotics import c_sequence, inequality_grid
+from .asymptotics import GRID_CLAIMS, c_sequence, inequality_grid
 
 FK_SEED = 20250811
 
@@ -297,7 +297,7 @@ def crit_fk_random() -> CriterionReport:
 
 def crit_inequality_grids() -> CriterionReport:
     rep = CriterionReport("inequality-grids", "grid checks of the min-max inequalities and the cubic bound", True)
-    for check, step in (("tech-a", 1e-3), ("tech-b", 1e-3), ("tech-c", 1e-3), ("ineq1", 1e-4)):
+    for check, step in GRID_CLAIMS:
         g = inequality_grid(check, step)
         rep.add(g.max_violation <= 1e-12,
                 f"{check}: max violation {g.max_violation:.3e} at {tuple(round(x, 4) for x in g.argmax)} "

@@ -7,6 +7,7 @@ import pytest
 from rainbowramsey.asymptotics import (
     AsymptoticsError,
     BoundInputs,
+    GridReport,
     binary_entropy,
     c_sequence,
     rainbow_antichain_bound,
@@ -75,10 +76,63 @@ def test_rainbow_antichain_bound_chain_instance():
 
 
 def test_inequality_grids_hold():
+    # reports measured with the per-point scan; they must stay bit-identical
+    pinned = {
+        "tech-a": (-0.0007841838420215019, (0.293, 0.001), 125750),
+        "tech-b": (-0.0007841838420215019, (0.708, 0.001), 376187),
+        "tech-c": (-0.4142135623730949, (0.5, 0.0), 376187),
+        "ineq1": (-0.0, (0.0,), 5001),
+    }
     for check, step in (("tech-a", 1e-3), ("tech-b", 1e-3), ("tech-c", 1e-3),
                         ("ineq1", 1e-4)):
         rep = inequality_grid(check, step)
         assert rep.max_violation <= 1e-12
+        assert repr((rep.max_violation, rep.argmax, rep.points)) == repr(pinned[check])
+        assert rep.claim == check and rep.step == step
+
+
+def _literal_tech_grid(check, grid_step):
+    """The per-point scan: every grid point through the closed-form min,
+    updating the worst on strict >.  Reference for the bounded scan."""
+    target = 1.0 + math.sqrt(2.0)
+    worst = float("-inf")
+    arg = ()
+    points = 0
+    a_lo, a_hi = (grid_step, 0.5) if check == "tech-a" else (0.5, 1.0)
+    steps_a = int(round((a_hi - a_lo) / grid_step))
+    for i in range(steps_a + 1):
+        alpha = min(a_lo + i * grid_step, a_hi)
+        steps_b = int(alpha / grid_step)
+        for j in range(steps_b + 1):
+            beta = min(j * grid_step, alpha)
+            den = 1.0 - (alpha - beta)
+            inv = 1.0 / den if den > 0.0 else math.inf
+            if check == "tech-a":
+                val = min(1.0 + beta + inv, 1.0 / alpha - 1.0 + beta)
+            elif check == "tech-b":
+                val = min(beta + inv - 1.0, 1.0 / alpha + 1.0 + beta)
+            else:
+                val = min(beta + inv, 1.0 / alpha + beta)
+            val -= target
+            points += 1
+            if val > worst:
+                worst = val
+                arg = (alpha, beta)
+    return GridReport(check, worst, arg, points, grid_step)
+
+
+def _seeded_grid_steps():
+    # log-uniform, so that about half the steps give rows longer than a
+    # bounded block; 1e-3 is the default, 0.5 and 1.0 give one-point rows
+    rng = random.Random(20251018)
+    steps = [math.exp(rng.uniform(math.log(2e-3), math.log(0.5))) for _ in range(48)]
+    return [1e-3, *steps, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("check", ["tech-a", "tech-b", "tech-c"])
+def test_tech_grid_matches_literal_scan(check):
+    for step in _seeded_grid_steps():
+        assert repr(inequality_grid(check, step)) == repr(_literal_tech_grid(check, step)), step
 
 
 def test_tech_c_argmax_on_balance_line():

@@ -205,3 +205,27 @@ def test_search_flags_only_where_read(capsys):
     code, out = run_cli(capsys, "fork", "--which", "f", "--r", "2", "--k", "1",
                         "--n-cap", "3", "--budget", "1000")
     assert code == 0
+
+
+def test_fork_g_refuses_search_flags(capsys):
+    # --which g is a formula: a budget or a size cap would be ignored
+    assert main(["fork", "--which", "g", "--r", "9", "--k", "2", "--budget", "1"]) == 1
+    assert main(["fork", "--which", "g", "--r", "9", "--k", "2", "--n-cap", "0"]) == 1
+    assert "--which f" in capsys.readouterr().err
+    code, out = run_cli(capsys, "fork", "--which", "g", "--r", "9", "--k", "2")
+    assert code == 0 and json.loads(out)["result"]["value"] == 6
+
+
+def test_inequalities_step_guards(capsys):
+    # not finite and positive, or more than GRID_MAX_POINTS points: 1e-7
+    # asks about 1.25e12 points of tech-a, 5e-9 asks 1e8 of ineq1
+    for check, step in [(c, s) for c in ("tech-a", "ineq1")
+                        for s in ("0", "-1e-3", "inf", "nan", "5e-324")]:
+        assert main(["inequalities", "--check", check, "--step", step]) == 1, (check, step)
+    assert main(["inequalities", "--check", "tech-a", "--step", "1e-7"]) == 1
+    assert main(["inequalities", "--check", "ineq1", "--step", "5e-9"]) == 1
+    err = capsys.readouterr().err
+    assert "finite and positive" in err and "points" in err
+    code, out = run_cli(capsys, "inequalities", "--check", "tech-c", "--step", "0.25")
+    row = json.loads(out)["result"]["checks"][0]
+    assert code == 0 and row["step"] == 0.25 and row["points"] == 12
