@@ -138,6 +138,10 @@ GRID_CLAIMS = (("tech-a", 1e-3), ("tech-b", 1e-3), ("tech-c", 1e-3), ("ineq1", 1
 # A grid of more points is refused before any evaluation.  Step 1e-4, the
 # finest default, gives 37.5M points on tech-b and tech-c.
 GRID_MAX_POINTS = 50_000_000
+# ineq1 evaluates every point (about 0.5 us each, where the tech scans
+# skip most), so its grids have a cap of their own: 5M points, a few
+# seconds.
+_INEQ1_MAX_POINTS = 5_000_000
 
 # Beta indices per bounded block of a tech scan: one bound per block is
 # cheap next to the points it skips, and a block that must be evaluated
@@ -176,9 +180,9 @@ def _tech_bound(check, alpha, b0, b1):
     return min(b1 + inv0, 1.0 / alpha + b1)
 
 
-def _refuse_points(check, grid_step):
+def _refuse_points(check, grid_step, cap=GRID_MAX_POINTS):
     raise AsymptoticsError(f"{check} at step {grid_step!r} needs more than "
-                           f"{GRID_MAX_POINTS} grid points; use a larger step")
+                           f"{cap} grid points; use a larger step")
 
 
 def _tech_scan(check, grid_step):
@@ -242,7 +246,8 @@ def inequality_grid(check: str, grid_step: float = 1e-3) -> GridReport:
     The report is that of evaluating every grid point in order; the tech
     grids skip blocks of points that provably cannot raise the maximum
     (_tech_scan).  A step that is not finite and positive, or a grid of
-    more than GRID_MAX_POINTS points, is refused before any evaluation.
+    more than GRID_MAX_POINTS points (ineq1: _INEQ1_MAX_POINTS), is
+    refused before any evaluation.
     """
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise AsymptoticsError(f"grid_step must be finite and positive, got {grid_step!r}")
@@ -251,8 +256,8 @@ def inequality_grid(check: str, grid_step: float = 1e-3) -> GridReport:
     if check != "ineq1":
         raise AsymptoticsError(f"unknown check {check!r}")
     half = 0.5 / grid_step
-    if half > GRID_MAX_POINTS or round(half) + 1 > GRID_MAX_POINTS:
-        _refuse_points(check, grid_step)
+    if half > _INEQ1_MAX_POINTS or round(half) + 1 > _INEQ1_MAX_POINTS:
+        _refuse_points(check, grid_step, _INEQ1_MAX_POINTS)
     worst = float("-inf")
     arg = ()
     points = 0

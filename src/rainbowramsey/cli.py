@@ -17,7 +17,6 @@ import json
 import sys
 import time
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from . import __version__
 from .lattice import Family
@@ -33,6 +32,7 @@ from .search import (
     ramsey,
     threshold_F,
     two_color_partial_exact,
+    _jsonable,
 )
 from .asymptotics import GRID_CLAIMS, c_sequence, inequality_grid
 from .criteria import REGISTRY, run_criterion
@@ -50,12 +50,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return value
 
 
 def _read_text(path: str) -> str:

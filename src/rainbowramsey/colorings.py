@@ -15,7 +15,6 @@ from math import isqrt
 from .lattice import (
     Family,
     all_masks,
-    are_comparable,
     canonical_key,
     full_mask,
     is_subset,
@@ -23,7 +22,7 @@ from .lattice import (
     submasks,
     supermasks,
 )
-from .posets import Embedding, PosetPattern, find_copy, _search_embedding
+from .posets import Embedding, PosetPattern, find_copy, standard_poset, _search_embedding
 
 
 class ColoringError(ValueError):
@@ -205,22 +204,8 @@ def find_pattern(col: Coloring, pattern: PosetPattern, mode: str = "weak",
         raise ColoringError(f"chromatic must be mono or rainbow, got {chromatic!r}")
 
     members = col.members
-    if pattern.is_antichain():
+    if mode == "strong" and pattern.is_antichain():
         k = pattern.size
-        if mode == "weak":
-            # a weak copy of A_k has no relations to respect: any k sets with
-            # k distinct colors qualify
-            picks = []
-            seen = set()
-            for mask in members:
-                c = col.color(mask)
-                if c not in seen:
-                    seen.add(c)
-                    picks.append(mask)
-                    if len(picks) == k:
-                        emb = Embedding(tuple(picks), mode)
-                        return (emb, tuple(col.color(m) for m in picks))
-            return None
         classes = [0] * col.num_colors
         for i, (_, c) in enumerate(col.items):
             classes[c] |= 1 << i
@@ -242,7 +227,7 @@ def find_pattern(col: Coloring, pattern: PosetPattern, mode: str = "weak",
         images = tuple(sorted((members[i] for i in chosen), key=canonical_key))
         return (Embedding(images, mode), tuple(col.color(m) for m in images))
 
-    images = _search_embedding(members, pattern, mode, thin=False, color_of=col.color)
+    images = _search_embedding(members, pattern, mode, thin=False, color_of=col._map.get)
     if images is None:
         return None
     return (Embedding(images, mode), tuple(col.color(m) for m in images))
@@ -474,43 +459,21 @@ def generate(kind: str, params: dict, seed=None):
 # thin antichains
 # ---------------------------------------------------------------------------
 
-def _thin_antichain_base(n: int):
-    """Exhaustive deterministic search: thin antichain of size n-2 in B_n
-    avoiding level n-1 (first witness in canonical order)."""
-    pool = [m for m in all_masks(n) if 1 <= m.bit_count() <= n - 2]
-    pool.sort(key=canonical_key)
-    target = n - 2
-    chosen = []
-
-    def rec(start):
-        if len(chosen) == target:
-            return True
-        for idx in range(start, len(pool)):
-            cand = pool[idx]
-            if any(are_comparable(cand, c) or cand.bit_count() == c.bit_count()
-                   for c in chosen):
-                continue
-            chosen.append(cand)
-            if rec(idx + 1):
-                return True
-            chosen.pop()
-        return False
-
-    if not rec(0):
-        raise ColoringError(f"no thin antichain base found in B_{n}")
-    return list(chosen)
-
-
 def thin_antichain(n: int) -> Family:
     """A thin antichain of size n-2 in B_n with no (n-1)-element member.
 
-    Base families for n = 4, 5 come from exhaustive search; larger n use
+    Base families for n = 4, 5 are the first thin strong copies of
+    A_{n-2} among the sets of levels 1..n-2 (find_copy); larger n use
     the two-step induction F -> {F + {n+1}} + {[n], {n+2}}.
     """
     if n < 4:
         raise ColoringError("thin_antichain needs n >= 4")
     m = 4 if n % 2 == 0 else 5
-    masks = _thin_antichain_base(m)
+    pool = Family.make(m, (x for x in all_masks(m) if 1 <= x.bit_count() <= m - 2))
+    base = find_copy(pool, standard_poset("antichain", m - 2), "strong", thin=True)
+    if base is None:
+        raise ColoringError(f"no thin antichain base found in B_{m}")
+    masks = list(base.images)
     while m < n:
         masks = [mask | (1 << m) for mask in masks]
         masks.append(full_mask(m))

@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .lattice import Family, are_comparable, is_subset, order_rows
+from .lattice import Family, is_subset, order_rows
 
 
 class PosetError(ValueError):
@@ -33,10 +34,12 @@ class PosetPattern:
             if not self.leq[i][i]:
                 raise PosetError("leq must be reflexive")
             for j in range(k):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
+                if not self.leq[i][j]:
+                    continue
+                if i != j and self.leq[j][i]:
                     raise PosetError("leq must be antisymmetric")
                 for l in range(k):
-                    if self.leq[i][j] and self.leq[j][l] and not self.leq[i][l]:
+                    if self.leq[j][l] and not self.leq[i][l]:
                         raise PosetError("leq must be transitive")
 
     def less(self, i: int, j: int) -> bool:
@@ -53,6 +56,8 @@ class PosetPattern:
 
     def linear_extension(self) -> tuple:
         """Deterministic linear extension: repeatedly pop the smallest-index minimal element."""
+        if not any(any(row[:i]) for i, row in enumerate(self.leq)):
+            return tuple(range(self.size))  # no element lies below a smaller index
         remaining = list(range(self.size))
         order = []
         while remaining:
@@ -62,6 +67,21 @@ class PosetPattern:
                     remaining.remove(i)
                     break
         return tuple(order)
+
+    @cached_property
+    def _plan(self):
+        """What the copy search reads of the pattern, built once: the
+        linear extension, whether the pattern is an antichain, and for
+        each step t of the extension the flags below[t], one per earlier
+        step s, telling whether the element placed at s lies below the one
+        placed at t.  An earlier element never lies above a later one, so
+        a pair not below is incomparable."""
+        order = self.linear_extension()
+        leq = self.leq
+        if order != tuple(range(self.size)):
+            leq = [[leq[a][b] for b in order] for a in order]
+        below = tuple(col[:t] for t, col in enumerate(zip(*leq)))
+        return order, not any(map(any, below)), below
 
     def to_json(self) -> str:
         return json.dumps({"size": self.size, "leq": [[bool(v) for v in row] for row in self.leq]})
@@ -148,73 +168,79 @@ class Embedding:
 
 def _search_embedding(members, pattern: PosetPattern, mode: str, thin: bool,
                       color_of=None):
-    """Backtracking search for a copy of pattern among members (canonical order).
+    """Backtracking search for a copy of pattern among members, or None.
 
-    members must already be in canonical order for determinism.  When
-    color_of is given, images must additionally carry pairwise distinct
-    colors (the rainbow constraint).  Returns the image tuple or None.
+    When color_of is given, images must additionally carry pairwise
+    distinct colors (the rainbow constraint).  Pattern elements are placed
+    in the pattern's linear extension.  The candidates for the next one
+    are a bitset over member positions: the AND of the up rows
+    (lattice.order_rows) of the images below it and, in strong mode, of
+    the incomparability rows of the other images, less the positions
+    used and those sharing a color (a level, when thin) with an image.
+    They are walked lowest position first, so the copy returned is the
+    first in member order; antichain images are placed in increasing
+    position order, as their elements are interchangeable.  Returns the
+    image tuple, indexed by pattern element.
     """
+    order, antichain, below = pattern._plan
+    k = len(order)
+    if k > len(members):
+        return None
     strong = mode == "strong"
-    k = pattern.size
-    order = pattern.linear_extension()
-    antichain = pattern.is_antichain()
-    images = [None] * k
-    used = set()
-    used_colors = set()
+    # block[i]: the positions an image at position i rules out, itself
+    # and every position of its color (level, when thin) included
+    block = None
+    for key in (color_of, int.bit_count if thin else None):
+        if key is None:
+            continue
+        same = {}
+        keys = [key(x) for x in members]
+        for i, v in enumerate(keys):
+            same[v] = same.get(v, 0) | 1 << i
+        if len(same) < k:
+            return None  # fewer than k colors (levels) for k distinct ones
+        rows = [same[v] for v in keys]
+        block = rows if block is None else [a | b for a, b in zip(block, rows)]
+    rowed = strong or not antichain   # later steps read the images' rows
+    if rowed:
+        up, down = order_rows(members)
+    everyone = (1 << len(members)) - 1
+    last = k - 1
+    images = [0] * k
+    ups = [0] * k
+    incs = [0] * k
 
-    def place(t: int) -> bool:
+    def place(t, used):
         if t == k:
             return True
-        p = order[t]
-        lo_idx = 0
-        if antichain and t > 0:
-            # antichain elements are interchangeable: force increasing member index
-            lo_idx = images_idx[order[t - 1]] + 1
-        for idx in range(lo_idx, len(members)):
-            cand = members[idx]
-            if cand in used:
-                continue
-            if color_of is not None:
-                c = color_of(cand)
-                if c in used_colors:
-                    continue
-            ok = True
-            for s in range(t):
-                q = order[s]
-                img = images[q]
-                if pattern.less(q, p):
-                    if not is_subset(img, cand) or img == cand:
-                        ok = False
-                        break
-                elif pattern.less(p, q):
-                    if not is_subset(cand, img) or img == cand:
-                        ok = False
-                        break
-                elif strong and are_comparable(img, cand):
-                    ok = False
-                    break
-                if thin and img.bit_count() == cand.bit_count():
-                    ok = False
-                    break
-            if not ok:
-                continue
-            images[p] = cand
-            images_idx[p] = idx
-            used.add(cand)
-            if color_of is not None:
-                used_colors.add(color_of(cand))
-            if place(t + 1):
+        cand = everyone & ~used
+        if antichain and t:
+            cand &= -(2 << images[t - 1])
+        for s, lower in enumerate(below[t]):
+            if lower:
+                cand &= ups[s]
+            elif strong:
+                cand &= incs[s]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            images[t] = i
+            if rowed and t < last:
+                x = members[i]
+                u = ups[t] = up(x)
+                if strong:
+                    incs[t] = everyone & ~(u | down(x))
+            if place(t + 1, used | (low if block is None else block[i])):
                 return True
-            used.discard(cand)
-            if color_of is not None:
-                used_colors.discard(color_of(cand))
-            images[p] = None
         return False
 
-    images_idx = [0] * k
-    if place(0):
-        return tuple(images)
-    return None
+    if not place(0, 0):
+        return None
+    out = [None] * k
+    for p, i in zip(order, images):
+        out[p] = members[i]
+    return tuple(out)
 
 
 def _chain_copy(members, pattern: PosetPattern):

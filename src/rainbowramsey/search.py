@@ -33,6 +33,13 @@ class BudgetExceeded(Exception):
     pass
 
 
+def _jsonable(value):
+    """value with an exact Fraction written as "p/q"."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    return value
+
+
 @dataclass
 class SearchResult:
     problem: str
@@ -44,13 +51,9 @@ class SearchResult:
     details: dict = field(default_factory=dict)
 
     def to_jsonable(self):
-        if isinstance(self.value, Fraction):
-            value = f"{self.value.numerator}/{self.value.denominator}"
-        else:
-            value = self.value
         return {
             "problem": self.problem,
-            "value": value,
+            "value": _jsonable(self.value),
             "method": self.method,
             "witness": None if self.witness is None else json.loads(self.witness.to_json()),
             "checked": {"n_min": self.checked[0], "n_max": self.checked[1]},
@@ -156,18 +159,6 @@ class _MonoClass:
         keep = ~(1 << x)
         for j in range(len(layers)):
             layers[j] &= keep
-
-
-def _rainbow_chain_through(x, shorter, colored, same, below, color_of):
-    """A rainbow C_l through the newest set x, given that the sets colored
-    before x hold none: x is the top of any new copy (no colored set lies
-    above it), so a rainbow copy of shorter = C_{l-1} among the colored
-    strict subsets of x whose color differs from x's.  colored is the
-    bitset of the sets colored before x, same that of x's color class;
-    returns the l-1 other sets or None."""
-    cand = below[x] & colored & ~same
-    return _search_embedding(tuple(_bits_of(cand)), shorter, "weak", False,
-                             color_of=color_of)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +316,12 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
                 return _rainbow_strong_antichain(others, inc.__getitem__,
                                                  q_size - 1) is not None
             if q_shorter is not None:
-                return _rainbow_chain_through(
-                    x, q_shorter, prefix_bits[t], class_bits[c], below,
-                    color_of.__getitem__) is not None
+                # x tops any new copy (no colored set lies above it): a
+                # rainbow C_{l-1} among the colored strict subsets of x
+                # outside x's class
+                cand = below[x] & prefix_bits[t] & ~class_bits[c]
+                return _search_embedding(tuple(_bits_of(cand)), q_shorter, "weak", False,
+                                         color_of=color_of.__getitem__) is not None
             return _search_embedding(tuple(masks[:t + 1]), q, mode, False,
                                      color_of=color_of.__getitem__) is not None
 
@@ -374,11 +368,20 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
         c += 1
 
 
+# The largest n_cap of ramsey and rainbow_ramsey: their per-n tables grow
+# with n! and 4^n (_perm_position_maps(8) holds 40,319 maps of 256
+# positions, about 100 MiB), so a larger cap is refused before any is built.
+_N_CAP_MAX = 8
+
+
 def _least_n(problem, method, n_cap, budget, avoiding):
     """The least n <= n_cap for which avoiding(n, counter) finds no
     avoiding coloring, with the avoiding coloring of n - 1 as witness.  A
     budget stop leaves the n it stopped in undecided: value ">n-1" (None
-    when it stopped in n = 0) and checked=(0, n-1)."""
+    when it stopped in n = 0) and checked=(0, n-1).  An n_cap outside
+    0.._N_CAP_MAX raises SearchError."""
+    if not 0 <= n_cap <= _N_CAP_MAX:
+        raise SearchError(f"n_cap must be in 0..{_N_CAP_MAX}, got {n_cap}")
     counter = _Counter(budget)
     witness = None
     try:
@@ -800,7 +803,7 @@ def two_color_partial_exact(n: int, objective: str = "size") -> SearchResult:
         v = Fraction(v, scale)
         witness = _chain_config_coloring(n, cfg) if n <= 16 else None
         return SearchResult(f"G'({n},2)", v, "composition-DP", witness, (n, n),
-                            details={"max_min_mass": f"{v.numerator}/{v.denominator}",
+                            details={"max_min_mass": _jsonable(v),
                                      "chain_config": cfg})
     raise SearchError("objective must be size or mass")
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -186,3 +188,48 @@ def test_extremal_params_diamond():
     # levels of a large cube always host one
     assert params.m_weak == 1 and params.m_strong == 1
     assert params.e_estimate == 2 and params.e_star_estimate == 2
+
+
+def _relabeled(pattern, rng):
+    perm = list(range(pattern.size))
+    rng.shuffle(perm)
+    return _pattern_from_strict(pattern.size, ((perm[i], perm[j])
+                                               for i in range(pattern.size)
+                                               for j in range(pattern.size)
+                                               if pattern.less(i, j)))
+
+
+def test_copy_search_images_pinned():
+    # (a) standard patterns have the identity as linear extension, so the
+    # search's copy is the all-injections oracle's first one
+    rng = random.Random(5150)
+    pats = [p for p in STANDARD_SIX if p.size <= 4]
+    hits = 0
+    for _ in range(100):
+        n = rng.randint(0, 4)
+        host = random_family(n, rng, density=rng.choice([0.3, 0.5, 0.7]))
+        for p in pats:
+            for mode in ("weak", "strong"):
+                for thin in (False, True):
+                    got = _search_embedding(host.members, p, mode, thin)
+                    naive = find_copy_naive(host, p, mode, thin)
+                    assert got == (naive and naive.images), (n, host.members, p, mode, thin)
+                    hits += got is not None
+    assert hits > 1200
+    # (b) relabeled patterns, members in canonical or mask order, and color
+    # maps: the oracle cannot order these copies, so their digest is pinned
+    rng = random.Random(6174)
+    runs = []
+    for _ in range(120):
+        n = rng.randint(0, 5)
+        host = random_family(n, rng, density=rng.choice([0.3, 0.5, 0.8]))
+        members = host.members if rng.random() < 0.5 else tuple(sorted(host.members))
+        colors = {m: rng.randrange(rng.randint(1, 6)) for m in members}
+        p = _relabeled(rng.choice(STANDARD_SIX), rng)
+        for mode in ("weak", "strong"):
+            for thin in (False, True):
+                for color_of in (None, colors.__getitem__):
+                    runs.append(_search_embedding(members, p, mode, thin, color_of))
+    assert sum(r is not None for r in runs) > 150
+    digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()[:16]
+    assert digest == "832c7dfa1ae4d521"

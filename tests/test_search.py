@@ -24,9 +24,9 @@ from rainbowramsey.colorings import (
 from rainbowramsey.search import (
     SearchError,
     _MonoClass,
+    _bits_of,
     _interior_table,
     _order_bitsets,
-    _rainbow_chain_through,
     _seed_three_point,
     _two_color_pareto_dp,
     fork_can_avoid,
@@ -70,6 +70,19 @@ def test_ramsey_cap_and_budget():
     assert res.value == ">2" and res.witness.ground == 2
     res = ramsey([C3, C3], "weak", n_cap=4, budget=5)
     assert res.budget_exhausted and isinstance(res.value, str)
+
+
+def test_search_n_cap_refused_before_tables():
+    from rainbowramsey.search import _ORDER_BITS, _PERM_MAPS
+    built = (set(_ORDER_BITS), set(_PERM_MAPS))
+    for cap in (-1, 9, 16):
+        with pytest.raises(SearchError):
+            ramsey([C2, C2], "weak", n_cap=cap)
+        with pytest.raises(SearchError):
+            rainbow_ramsey(C2, C2, "weak", n_cap=cap)
+        with pytest.raises(SearchError):
+            fork_f_small(2, 1, n_cap=cap)
+    assert (set(_ORDER_BITS), set(_PERM_MAPS)) == built
 
 
 def test_rainbow_ramsey_values():
@@ -459,8 +472,11 @@ def test_anchored_rainbow_check_matches_unanchored():
                     whole = find_pattern(Coloring(n, list(color.items())),
                                          standard_poset("antichain", k), "strong", "rainbow")
                 else:
-                    through = _rainbow_chain_through(x, standard_poset("chain", k - 1), colored,
-                                                     class_bits[c], below, color.get)
+                    # the copy search call _avoiding makes: the colored strict
+                    # subsets of x outside x's class
+                    cand = below[x] & colored & ~class_bits[c]
+                    through = _search_embedding(tuple(_bits_of(cand)), standard_poset("chain", k - 1),
+                                                "weak", False, color_of=color.get)
                     whole = _search_embedding(before + (x,), standard_poset("chain", k), "weak",
                                               False, color_of=color.get)
                 assert (through is None) == (whole is None)
