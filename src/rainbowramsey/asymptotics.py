@@ -168,6 +168,10 @@ def _tech_value(check, alpha, beta):
     return min(beta + inv, 1.0 / alpha + beta)
 
 
+def _ineq1_value(beta):
+    return beta * (-beta * beta + (1.0 + 2.0 * SQRT2) * beta - 2.0)
+
+
 def _tech_bound(check, alpha, b0, b1):
     """_tech_value's expressions with beta at b1 but the inverse taken at
     b0; see _tech_scan for why this bounds every beta in [b0, b1]."""
@@ -264,7 +268,7 @@ def inequality_grid(check: str, grid_step: float = 1e-3) -> GridReport:
     steps = int(round(half))
     for i in range(steps + 1):
         beta = min(i * grid_step, 0.5)
-        val = beta * (-beta * beta + (1.0 + 2.0 * SQRT2) * beta - 2.0)
+        val = _ineq1_value(beta)
         points += 1
         if val > worst:
             worst = val

@@ -227,7 +227,7 @@ def find_pattern(col: Coloring, pattern: PosetPattern, mode: str = "weak",
         images = tuple(sorted((members[i] for i in chosen), key=canonical_key))
         return (Embedding(images, mode), tuple(col.color(m) for m in images))
 
-    images = _search_embedding(members, pattern, mode, thin=False, color_of=col._map.get)
+    images = _search_embedding(members, pattern, mode, thin=False, color_of=col.color)
     if images is None:
         return None
     return (Embedding(images, mode), tuple(col.color(m) for m in images))

@@ -56,8 +56,6 @@ class PosetPattern:
 
     def linear_extension(self) -> tuple:
         """Deterministic linear extension: repeatedly pop the smallest-index minimal element."""
-        if not any(any(row[:i]) for i, row in enumerate(self.leq)):
-            return tuple(range(self.size))  # no element lies below a smaller index
         remaining = list(range(self.size))
         order = []
         while remaining:
@@ -77,9 +75,7 @@ class PosetPattern:
         placed at t.  An earlier element never lies above a later one, so
         a pair not below is incomparable."""
         order = self.linear_extension()
-        leq = self.leq
-        if order != tuple(range(self.size)):
-            leq = [[leq[a][b] for b in order] for a in order]
+        leq = [[self.leq[a][b] for b in order] for a in order]
         below = tuple(col[:t] for t, col in enumerate(zip(*leq)))
         return order, not any(map(any, below)), below
 
@@ -277,7 +273,7 @@ def _chain_copy(members, pattern: PosetPattern):
         return None
     images = [None] * l
     heads = layers[-1]
-    for t, p in enumerate(pattern.linear_extension()):
+    for t, p in enumerate(pattern._plan[0]):
         i = (heads & -heads).bit_length() - 1
         images[p] = members[i]
         if t + 1 < l:

@@ -368,9 +368,10 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
         c += 1
 
 
-# The largest n_cap of ramsey and rainbow_ramsey: their per-n tables grow
+# The largest n ramsey and rainbow_ramsey search: their per-n tables grow
 # with n! and 4^n (_perm_position_maps(8) holds 40,319 maps of 256
-# positions, about 100 MiB), so a larger cap is refused before any is built.
+# positions, about 100 MiB), so a search still undecided at this n is
+# refused before the next n's tables are built.
 _N_CAP_MAX = 8
 
 
@@ -378,14 +379,18 @@ def _least_n(problem, method, n_cap, budget, avoiding):
     """The least n <= n_cap for which avoiding(n, counter) finds no
     avoiding coloring, with the avoiding coloring of n - 1 as witness.  A
     budget stop leaves the n it stopped in undecided: value ">n-1" (None
-    when it stopped in n = 0) and checked=(0, n-1).  An n_cap outside
-    0.._N_CAP_MAX raises SearchError."""
-    if not 0 <= n_cap <= _N_CAP_MAX:
-        raise SearchError(f"n_cap must be in 0..{_N_CAP_MAX}, got {n_cap}")
+    when it stopped in n = 0) and checked=(0, n-1).  A negative n_cap, or
+    one above _N_CAP_MAX that the search reaches undecided, raises
+    SearchError."""
+    if n_cap < 0:
+        raise SearchError(f"n_cap must be >= 0, got {n_cap}")
     counter = _Counter(budget)
     witness = None
     try:
         for n in range(n_cap + 1):
+            if n > _N_CAP_MAX:
+                raise SearchError(f"undecided at n = {_N_CAP_MAX}; n_cap {n_cap} would search "
+                                  f"n = {n}, and n_cap above {_N_CAP_MAX} is refused")
             found = avoiding(n, counter)
             if found is None:
                 return SearchResult(problem, n, method, witness, (0, n),

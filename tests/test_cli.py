@@ -1,8 +1,8 @@
 import hashlib
 import json
-import time
 import warnings
 
+from rainbowramsey import asymptotics, search
 from rainbowramsey.cli import main
 from rainbowramsey.lattice import Family
 
@@ -232,22 +232,31 @@ def test_inequalities_step_guards(capsys):
     assert code == 0 and row["step"] == 0.25 and row["points"] == 12
 
 
-def test_ineq1_point_cap(capsys):
+def test_ineq1_point_cap(capsys, monkeypatch):
     # ineq1 evaluates every point, so its cap is 5M points: step 1.1e-8
     # (45M points, over 20 s of evaluation) is refused before any point
-    started = time.perf_counter()
-    assert main(["inequalities", "--check", "ineq1", "--step", "1.1e-8"]) == 1
-    assert time.perf_counter() - started < 2.0
+    def evaluated(beta):
+        raise AssertionError("ineq1 point evaluated")
+
+    with monkeypatch.context() as m:
+        m.setattr(asymptotics, "_ineq1_value", evaluated)
+        assert main(["inequalities", "--check", "ineq1", "--step", "1.1e-8"]) == 1
     assert "5000000 grid points" in capsys.readouterr().err
     code, out = run_cli(capsys, "inequalities", "--check", "ineq1", "--step", "2.5e-7")
     row = json.loads(out)["result"]["checks"][0]
     assert code == 0 and row["points"] == 2_000_001 and row["max_violation"] <= 0
 
 
-def test_search_n_cap_refused(capsys):
-    # caps past 8 would build n! and 4^n tables; fork --which f inherits the guard
-    for argv in (["ramsey", "--p", "C2", "C2"], ["rainbow", "--p", "C2", "--q", "A2"],
-                 ["fork", "--which", "f", "--r", "2", "--k", "1"]):
-        for cap in ("9", "16", "-1"):
-            assert main(argv + ["--n-cap", cap]) == 1, (argv, cap)
-    assert "n_cap must be in 0..8" in capsys.readouterr().err
+def test_search_n_cap_refused(capsys, monkeypatch):
+    # n past 8 would build n! and 4^n tables; fork --which f inherits the guard
+    argvs = (["ramsey", "--p", "C2", "--p", "C2"], ["rainbow", "--p", "C2", "--q", "A2"],
+             ["fork", "--which", "f", "--r", "2", "--k", "1"])
+    for argv in argvs:
+        assert main(argv + ["--n-cap", "-1"]) == 1, argv
+        assert "n_cap must be >= 0" in capsys.readouterr().err, argv
+    code, out = run_cli(capsys, "ramsey", "--p", "C2", "--p", "C2", "--n-cap", "9")
+    assert code == 0 and json.loads(out)["result"]["value"] == 2
+    monkeypatch.setattr(search, "_avoiding", lambda n, *args: object())
+    for argv in argvs:
+        assert main(argv + ["--n-cap", "9"]) == 1, argv
+        assert "n_cap above 8 is refused" in capsys.readouterr().err, argv

@@ -72,10 +72,11 @@ def test_ramsey_cap_and_budget():
     assert res.budget_exhausted and isinstance(res.value, str)
 
 
-def test_search_n_cap_refused_before_tables():
+def test_search_n_cap_refused_before_tables(monkeypatch):
+    from rainbowramsey import search
     from rainbowramsey.search import _ORDER_BITS, _PERM_MAPS
     built = (set(_ORDER_BITS), set(_PERM_MAPS))
-    for cap in (-1, 9, 16):
+    for cap in (-1, -5):
         with pytest.raises(SearchError):
             ramsey([C2, C2], "weak", n_cap=cap)
         with pytest.raises(SearchError):
@@ -83,6 +84,25 @@ def test_search_n_cap_refused_before_tables():
         with pytest.raises(SearchError):
             fork_f_small(2, 1, n_cap=cap)
     assert (set(_ORDER_BITS), set(_PERM_MAPS)) == built
+    # a cap past 8 still answers a search decided by n = 8
+    assert ramsey([C2, C2], "weak", n_cap=16).value == 2
+    assert rainbow_ramsey(C2, C2, "weak", n_cap=9).value == 1
+    assert fork_f_small(2, 1, n_cap=9).value == 2
+    # one still undecided at n = 8 is refused before n = 9 is searched
+    searched = []
+
+    def undecided(n, *args):
+        searched.append(n)
+        return object()
+
+    monkeypatch.setattr(search, "_avoiding", undecided)
+    for call in (lambda: ramsey([C2, C2], "weak", n_cap=9),
+                 lambda: rainbow_ramsey(C2, C2, "weak", n_cap=16),
+                 lambda: fork_f_small(2, 1, n_cap=9)):
+        searched.clear()
+        with pytest.raises(SearchError, match="n_cap above 8 is refused"):
+            call()
+        assert searched == list(range(9))
 
 
 def test_rainbow_ramsey_values():
