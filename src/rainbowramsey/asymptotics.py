@@ -158,23 +158,14 @@ class GridReport:
     step: float
 
 
-def _tech_value(check, alpha, beta):
-    den = 1.0 - (alpha - beta)
-    inv = 1.0 / den if den > 0.0 else math.inf  # alpha=1, beta=0 corner
-    if check == "tech-a":
-        return min(1.0 + beta + inv, 1.0 / alpha - 1.0 + beta)
-    if check == "tech-b":
-        return min(beta + inv - 1.0, 1.0 / alpha + 1.0 + beta)
-    return min(beta + inv, 1.0 / alpha + beta)
-
-
 def _ineq1_value(beta):
     return beta * (-beta * beta + (1.0 + 2.0 * SQRT2) * beta - 2.0)
 
 
 def _tech_bound(check, alpha, b0, b1):
-    """_tech_value's expressions with beta at b1 but the inverse taken at
-    b0; see _tech_scan for why this bounds every beta in [b0, b1]."""
+    """The tech claim's expressions with beta at b1 but the inverse taken
+    at b0: at b0 = b1 = beta the value at (alpha, beta), and for b0 < b1
+    a bound on the value at every beta in [b0, b1] (see _tech_scan)."""
     den = 1.0 - (alpha - b0)
     inv0 = 1.0 / den if den > 0.0 else math.inf  # alpha=1, beta=0 corner
     if check == "tech-a":
@@ -232,7 +223,7 @@ def _tech_scan(check, grid_step):
                 continue
             for j in range(j0, j1 + 1):
                 beta = min(j * grid_step, alpha)
-                val = _tech_value(check, alpha, beta) - target
+                val = _tech_bound(check, alpha, beta, beta) - target
                 if val > worst:
                     worst = val
                     arg = (alpha, beta)

@@ -130,6 +130,8 @@ def _cmd_fork(args):
 
 
 def _cmd_lubell(args):
+    if args.subcube is None and args.family is None:
+        raise _UsageError("lubell needs --family or --subcube")
     if args.subcube:
         n, a, b = args.subcube
         v = lubell_subcube(n, a, b)
@@ -159,6 +161,8 @@ def _cmd_corechain(args):
 def _cmd_coloring_gen(args):
     params = {"n": args.n}
     if args.kind == "consecutive-level":
+        if args.parts is None:
+            raise _UsageError("--kind consecutive-level needs --parts")
         params["parts"] = [int(x) for x in args.parts.split(",")]
     elif args.kind == "trace":
         elems = [int(x) for x in args.r_set.split(",")] if args.r_set else []

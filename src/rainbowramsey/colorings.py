@@ -259,11 +259,24 @@ def validate_witness(col: Coloring, p: PosetPattern, q: PosetPattern,
 # constructions
 # ---------------------------------------------------------------------------
 
+# The most sets one construction colors.  Each construction computes its
+# count from its parameters and refuses a larger one before enumerating:
+# a 2^20-set coloring already takes seconds and hundreds of MiB.
+_MAX_COLORED = 1 << 20
+
+
+def _check_count(kind, count):
+    if count > _MAX_COLORED:
+        raise ColoringError(f"{kind} would color {count} sets, more than the "
+                            f"{_MAX_COLORED} a construction may color")
+
+
 def consecutive_level_coloring(n: int, parts) -> Coloring:
     """Color classes are intervals of consecutive levels with the given lengths."""
     parts = list(parts)
     if any(p < 1 for p in parts) or sum(parts) != n + 1:
         raise ColoringError(f"parts must be positive and sum to n+1, got {parts}")
+    _check_count("consecutive-level", 1 << n)
     color_of_level = []
     for idx, p in enumerate(parts):
         color_of_level += [idx] * p
@@ -275,11 +288,13 @@ def trace_coloring(n: int, r_mask: int) -> Coloring:
     """phi(F) = |F intersect R|."""
     if r_mask & ~full_mask(n):
         raise ColoringError("trace set outside ground")
+    _check_count("trace", 1 << n)
     return Coloring(n, [(m, (m & r_mask).bit_count()) for m in all_masks(n)], total=True)
 
 
 def level_coloring(n: int) -> Coloring:
     """The trivial coloring phi(F) = |F|."""
+    _check_count("level", 1 << n)
     return Coloring(n, [(m, m.bit_count()) for m in all_masks(n)], total=True)
 
 
@@ -298,6 +313,7 @@ def rr_lower_coloring(e: int, q: int, f_tweak: int = 0) -> Coloring:
     n = e * (q - 1) + f_tweak - 1
     if n < 1:
         raise ColoringError("rr-lower needs e*(q-1)+f_tweak >= 2")
+    _check_count("rr-lower", 1 << n)
     items = []
     lo_level, hi_level = (0, n)
     if f_tweak >= 1:
@@ -322,6 +338,8 @@ def f2_lower_coloring(n: int) -> Coloring:
     """
     if n < 2 or (n % 2 == 1 and n < 5):
         raise ColoringError(f"f2-lower needs even n >= 2 or odd n >= 5, got {n}")
+    # the downset of S and the upset of S less S, with [n] moved for odd n
+    _check_count("f2-lower", (1 << n // 2) + (1 << n - n // 2) - 1)
     s = full_mask(n // 2)
     items = [(m, 0) for m in submasks(s)]
     if n % 2 == 0:
@@ -342,6 +360,8 @@ def g2_lower_coloring(n: int) -> Coloring:
         raise ColoringError("g2-lower needs n >= 2")
     h = isqrt(n * n // 2)
     assert 2 * h * h <= n * n < 2 * (h + 1) * (h + 1)
+    # the empty set, the upset of H and the rest of the downset of H
+    _check_count("g2-lower", (1 << n - h) + (1 << h) - 1)
     h_mask = full_mask(h)
     items = [(0, 0)] + [(m, 0) for m in supermasks(h_mask, n)]
     colored = {m for m, _ in items}
@@ -380,6 +400,8 @@ def fk_random_coloring(n: int, k: int, seed: int, max_draws: int = 10000):
     size = n // 2 + l
     if size > n:
         raise ColoringError(f"center size {size} exceeds n={n}")
+    # at most each center's downset and punctured upset
+    _check_count("fk-random", (k - 1) * ((1 << size) + (1 << n - size) - 1))
     cap = (26 * n) // 100  # |F_i & F_j| <= 0.26 n, resolved in integers
     rng = _random.Random(seed)
     centers = []

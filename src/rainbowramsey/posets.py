@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .lattice import Family, is_subset, order_rows
+from .lattice import Family, is_subset, levels_family, order_rows
 
 
 class PosetError(ValueError):
@@ -393,25 +393,19 @@ def _max_cube_without(cubes, pattern, mode, thin=False):
 
 
 def _level_window_estimate(pattern, mode, n_cap):
-    """min over n <= cap of the largest m with all m consecutive levels of
-    B_n pattern-free; cubes too small for any window to host the pattern
-    constrain nothing.  None when no window up to the cap hosts a copy."""
-    from .lattice import levels_family
+    """The largest m with all m consecutive levels of B_{n_cap}
+    pattern-free, or None when no window of B_{n_cap} hosts a copy.
 
-    best = None
-    for n in range(1, n_cap + 1):
-        hit_m = None
-        for m in range(1, n + 2):
-            for lo in range(0, n - m + 2):
-                fam = levels_family(n, lo, lo + m - 1)
-                if find_copy(fam, pattern, mode) is not None:
-                    hit_m = m
-                    break
-            if hit_m is not None:
-                break
-        if hit_m is not None:
-            best = hit_m - 1 if best is None else min(best, hit_m - 1)
-    return best
+    A copy in levels lo..lo+m-1 of B_n is one in the same levels of
+    B_{n+1}, so the first window size hosting a copy never grows with n:
+    this is the minimum of the value over n <= n_cap, cubes where no
+    window hosts a copy constraining nothing.
+    """
+    for m in range(1, n_cap + 2):
+        for lo in range(n_cap - m + 2):
+            if find_copy(levels_family(n_cap, lo, lo + m - 1), pattern, mode) is not None:
+                return m - 1
+    return None
 
 
 def extremal_params(pattern: PosetPattern, n_cap: int = 6,

@@ -16,8 +16,10 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, repeat
+from functools import cache
+from itertools import accumulate, permutations, repeat
 from math import lcm
+from typing import NamedTuple
 
 from .lattice import all_masks, canonical_key, full_mask, order_rows
 from .lubell import binom, lubell_interval
@@ -66,6 +68,8 @@ class _Counter:
     __slots__ = ("nodes", "limit")
 
     def __init__(self, limit):
+        if limit is not None and limit < 0:
+            raise SearchError(f"budget must be >= 0, got {limit}")
         self.nodes = 0
         self.limit = limit
 
@@ -76,28 +80,29 @@ class _Counter:
 
 
 # ---------------------------------------------------------------------------
-# per-n order tables over mask values
+# one per-n table of B_n
 # ---------------------------------------------------------------------------
 
-_ORDER_BITS = {}
+class _Cube(NamedTuple):
+    masks: tuple       # B_n in canonical order
+    ends: frozenset    # the positions t with masks[t - 1] last on its level
+    below: list        # bitsets over mask values: each mask's strict subsets,
+    above: list        # its strict supersets
+    inc: list          # and the masks incomparable to it
 
 
-def _order_bitsets(n):
-    """(below, above, inc): bitsets over mask values of the strict subsets
-    of each mask, of its strict supersets and of the masks incomparable
-    to it, from lattice.order_rows over all of B_n."""
-    tables = _ORDER_BITS.get(n)
-    if tables is None:
-        masks = range(1 << n)
-        up, down = order_rows(masks)
-        below = [down(m) ^ 1 << m for m in masks]
-        above = [up(m) ^ 1 << m for m in masks]
-        everything = (1 << len(masks)) - 1
-        inc = [everything ^ (b | a | 1 << m) for m, b, a in zip(masks, below, above)]
-        tables = (below, above, inc)
-        if n <= 12:
-            _ORDER_BITS[n] = tables
-    return tables
+@cache
+def _cube(n):
+    """The _Cube of B_n, built once per n from lattice.order_rows."""
+    masks = tuple(sorted(all_masks(n), key=canonical_key))
+    ends = frozenset(accumulate(binom(n, l) for l in range(n + 1)))
+    values = all_masks(n)
+    up, down = order_rows(values)
+    below = [down(m) ^ 1 << m for m in values]
+    above = [up(m) ^ 1 << m for m in values]
+    everything = (1 << len(values)) - 1
+    inc = [everything ^ (b | a | 1 << m) for m, b, a in zip(values, below, above)]
+    return _Cube(masks, ends, below, above, inc)
 
 
 def _bits_of(x):
@@ -165,10 +170,6 @@ class _MonoClass:
 # ground-set permutation symmetry (checked at complete-level boundaries)
 # ---------------------------------------------------------------------------
 
-def _canonical_masks(n):
-    return sorted(all_masks(n), key=canonical_key)
-
-
 _PERM_MAPS = {}
 
 
@@ -178,7 +179,7 @@ def _perm_position_maps(n):
     preserved, so boundaries at complete levels are permutation-stable)."""
     maps = _PERM_MAPS.get(n)
     if maps is None:
-        masks = _canonical_masks(n)
+        masks = _cube(n).masks
         pos = [0] * (1 << n)
         for t, m in enumerate(masks):
             pos[m] = t
@@ -194,15 +195,6 @@ def _perm_position_maps(n):
         if n <= 6:
             _PERM_MAPS[n] = maps
     return maps
-
-
-def _level_boundaries(n, masks):
-    ends = []
-    for t in range(1, len(masks)):
-        if masks[t].bit_count() != masks[t - 1].bit_count():
-            ends.append(t)
-    ends.append(len(masks))
-    return set(ends)
 
 
 def _prefix_is_orbit_min(assign, t, tied, rename, ties_out):
@@ -249,8 +241,7 @@ def _prefix_is_orbit_min(assign, t, tied, rename, ties_out):
 def iter_canonical_colorings(n):
     """All colorings of B_n up to color renaming, as restricted-growth
     sequences over the canonical mask order (one per renaming class)."""
-    masks = _canonical_masks(n)
-    total = len(masks)
+    total = 1 << n
     assign = [0] * total
 
     def rec(t, used):
@@ -275,12 +266,10 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
     looked for.  The search runs on an explicit stack: position t of the
     canonical order is depth t.
     """
-    masks = _canonical_masks(n)
+    masks, ends, below, _, inc = _cube(n)
     total = len(masks)
     limit = len(patterns)
     use_sym = symmetry and n >= 4
-    boundaries = _level_boundaries(n, masks) if use_sym else set()
-    below, _, inc = _order_bitsets(n)
     classes = [_MonoClass(p, mode, below) for p in patterns]
     assign = [0] * total
     used = [-1] * (total + 1)     # the highest color used before position t
@@ -295,10 +284,7 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
         # below the newest set
         q_shorter = standard_poset("chain", q_size - 1) if q.is_chain() and q_size > 1 else None
         color_of = [None] * (1 << n)
-        class_bits = [0] * limit
-        prefix_bits = [0] * (total + 1)   # the sets colored before position t
-        for t, m in enumerate(masks):
-            prefix_bits[t + 1] = prefix_bits[t] | 1 << m
+        class_bits = [0] * limit   # the sets colored before position t, by color
 
         def rainbow_through(t, x, c):
             """Color x with c; True when that completes a rainbow q."""
@@ -310,16 +296,15 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
                     return True  # q_size distinct colors suffice for a weak antichain copy
                 # a new copy goes through x: a rainbow strong A_{q-1} among
                 # the colored sets incomparable to x, in the other classes
-                cand = inc[x] & prefix_bits[t]
                 others = [b for d in range(used[t] + 1)
-                          if d != c and (b := class_bits[d] & cand)]
+                          if d != c and (b := class_bits[d] & inc[x])]
                 return _rainbow_strong_antichain(others, inc.__getitem__,
                                                  q_size - 1) is not None
             if q_shorter is not None:
                 # x tops any new copy (no colored set lies above it): a
-                # rainbow C_{l-1} among the colored strict subsets of x
-                # outside x's class
-                cand = below[x] & prefix_bits[t] & ~class_bits[c]
+                # rainbow C_{l-1} among the strict subsets of x outside x's
+                # class, all colored since they precede x
+                cand = below[x] & ~class_bits[c]
                 return _search_embedding(tuple(_bits_of(cand)), q_shorter, "weak", False,
                                          color_of=color_of.__getitem__) is not None
             return _search_embedding(tuple(masks[:t + 1]), q, mode, False,
@@ -333,7 +318,7 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
             if t == total:
                 return Coloring(n, list(zip(masks, assign)), total=True)
             c = 0
-            if use_sym and t in boundaries:
+            if use_sym and t in ends:
                 ties = []
                 if _prefix_is_orbit_min(assign, t, tied[t], rename, ties):
                     tied[t] = (t, ties)
@@ -454,7 +439,7 @@ def _threshold2(n, partial):
     """
     size = 1 << n
     everything = (1 << size) - 1
-    comp = [everything ^ row for row in _order_bitsets(n)[2]]
+    comp = [everything ^ row for row in _cube(n).inc]
     lo_w = size // 2
 
     def meets(rows):
@@ -507,7 +492,7 @@ def _threshold3(n, partial, counter):
     stop the best coloring found so far, a lower bound, is returned.
     """
     size = 1 << n
-    inc = _order_bitsets(n)[2]
+    inc = _cube(n).inc
     cls = [0, 0, 0]
     counts = [0, 0, 0]
     best = -1
@@ -569,6 +554,9 @@ def threshold_F(n: int, k: int, partial: bool,
     A_k.  Returns max-min + 1 with an extremal witness.  A budget stop
     decides nothing (checked=(n, n-1)) and reports ">m" with the best
     coloring found, whose minimum class size m is a lower bound."""
+    if n < 0:
+        raise SearchError(f"threshold_F needs n >= 0, got {n}")
+    counter = _Counter(budget)   # refuses a negative budget for every k
     name = f"F'({n},{k})" if partial else f"F({n},{k})"
     if k == 2:
         if n > 4:
@@ -579,7 +567,6 @@ def threshold_F(n: int, k: int, partial: bool,
     if k == 3:
         if n > 4:
             raise SearchError("threshold_F with k=3 is capped at n=4")
-        counter = _Counter(budget)
         v, witness, stopped = _threshold3(n, partial, counter)
         details = {"max_min": v, "nodes": counter.nodes}
         if stopped:
@@ -854,8 +841,11 @@ def fork_can_avoid(n: int, r: int, k: int) -> bool:
 
     Greedy maximal blocks from the bottom are optimal: the longest V_r-free
     block starting at level lo is nondecreasing in lo, so any avoiding
-    composition is dominated by the greedy one.
+    composition is dominated by the greedy one.  n is capped at 64, the
+    end of the binomial table.
     """
+    if n > 64:
+        raise SearchError(f"n = {n} is past the n=64 ground cap")
     if k > n + 1:
         return False  # no composition of n+1 into k positive parts
     lo = 0
@@ -874,8 +864,6 @@ def fork_g(r: int, k: int) -> int:
     n = k - 1
     while fork_can_avoid(n, r, k):
         n += 1
-        if n > 64:
-            raise SearchError("fork_g exceeded the n=64 ground cap")
     return n
 
 
@@ -920,7 +908,7 @@ def fork_f_small(r: int, k: int, n_cap: int = 4,
 def fork_block_check_naive(n: int, lo: int, hi: int, r: int) -> bool:
     """Weak V_r inside levels lo..hi of B_n by explicit superset counting
     over the actual lattice (independent of any binomial formula)."""
-    above = _order_bitsets(n)[1]
+    above = _cube(n).above
     block = 0
     for m in all_masks(n):
         if lo <= m.bit_count() <= hi:

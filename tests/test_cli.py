@@ -2,7 +2,7 @@ import hashlib
 import json
 import warnings
 
-from rainbowramsey import asymptotics, search
+from rainbowramsey import asymptotics, colorings, search
 from rainbowramsey.cli import main
 from rainbowramsey.lattice import Family
 
@@ -260,3 +260,43 @@ def test_search_n_cap_refused(capsys, monkeypatch):
     for argv in argvs:
         assert main(argv + ["--n-cap", "9"]) == 1, argv
         assert "n_cap above 8 is refused" in capsys.readouterr().err, argv
+
+
+def test_missing_inputs_are_usage_errors(capsys):
+    assert main(["coloring", "gen", "--kind", "consecutive-level", "--n", "3"]) == 1
+    assert "needs --parts" in capsys.readouterr().err
+    assert main(["lubell"]) == 1
+    assert "needs --family or --subcube" in capsys.readouterr().err
+
+
+def test_negative_budget_and_threshold_n_refused(capsys):
+    # budget 0 stays a budget stop (exit 2); a negative one is refused
+    assert main(["rainbow", "--p", "C2", "--q", "C2", "--budget", "0"]) == 2
+    capsys.readouterr()
+    for argv in (["rainbow", "--p", "C2", "--q", "C2"], ["ramsey", "--p", "C2"],
+                 ["threshold", "--n", "3", "--k", "3"],
+                 ["fork", "--which", "f", "--r", "2", "--k", "1"]):
+        assert main(argv + ["--budget", "-1"]) == 1, argv
+        assert "budget must be >= 0" in capsys.readouterr().err, argv
+    assert main(["threshold", "--n", "-1", "--k", "2"]) == 1
+    assert "needs n >= 0" in capsys.readouterr().err
+
+
+def test_fork_g_refused_past_ground_cap(capsys):
+    assert main(["fork", "--which", "g", "--r", "1", "--k", "66"]) == 1
+    assert "n=64 ground cap" in capsys.readouterr().err
+    code, out = run_cli(capsys, "fork", "--which", "g", "--r", "1", "--k", "64")
+    assert code == 0 and json.loads(out)["result"]["value"] == 64
+
+
+def test_coloring_gen_capped_before_enumerating(capsys, monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("sets enumerated")
+
+    with monkeypatch.context() as m:
+        m.setattr(colorings, "all_masks", enumerated)
+        for n in ("70", "30"):
+            assert main(["coloring", "gen", "--kind", "level", "--n", n]) == 1
+            assert "more than the 1048576" in capsys.readouterr().err
+    code, out = run_cli(capsys, "coloring", "gen", "--kind", "g2-lower", "--n", "20")
+    assert code == 0 and sum(json.loads(out)["result"]["classes"]) == 16_447

@@ -119,6 +119,33 @@ def test_generate_dispatch_and_seed_determinism():
         generate("fk-random", {"n": 10, "k": 3}, seed=None)
 
 
+def test_constructions_capped_before_enumerating(monkeypatch):
+    # each construction counts its sets from its parameters and refuses
+    # more than 2^20 before any set is enumerated
+    from rainbowramsey import colorings
+
+    def enumerated(*args):
+        raise AssertionError("sets enumerated")
+
+    for name in ("all_masks", "submasks", "supermasks"):
+        monkeypatch.setattr(colorings, name, enumerated)
+    refused = [lambda: level_coloring(21), lambda: level_coloring(70),
+               lambda: consecutive_level_coloring(21, [11, 11]),
+               lambda: trace_coloring(25, 0b101), lambda: rr_lower_coloring(21, 2, 1),
+               lambda: f2_lower_coloring(39), lambda: g2_lower_coloring(29),
+               lambda: g2_lower_coloring(36), lambda: fk_random_coloring(40, 3, seed=1)]
+    for build in refused:
+        with pytest.raises(ColoringError, match="more than the 1048576"):
+            build()
+    # the largest admitted ones reach the enumeration
+    admitted = [lambda: level_coloring(20), lambda: rr_lower_coloring(20, 2, 1),
+                lambda: f2_lower_coloring(38), lambda: g2_lower_coloring(28),
+                lambda: fk_random_coloring(30, 3, seed=1)]
+    for build in admitted:
+        with pytest.raises(AssertionError, match="sets enumerated"):
+            build()
+
+
 def test_find_pattern_spec_examples():
     c2 = poset_by_name("C2")
     # one-color colorings never host a rainbow C2

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rainbowramsey.lattice import Family, all_masks, random_family
+from rainbowramsey.lattice import Family, all_masks, levels_family, random_family
 from rainbowramsey.posets import (
     PosetError,
     PosetPattern,
@@ -172,6 +172,26 @@ def test_extremal_params_window_estimate_on_chains():
     from rainbowramsey.posets import _level_window_estimate
     for l in (2, 3, 4):
         assert _level_window_estimate(standard_poset("chain", l), "weak", 5) == l - 1
+
+
+def _literal_window_min(pattern, mode, n_cap):
+    # the minimum over n <= n_cap, written out per n
+    best = None
+    for n in range(1, n_cap + 1):
+        hit = next((m for m in range(1, n + 2) for lo in range(n - m + 2)
+                    if find_copy(levels_family(n, lo, lo + m - 1), pattern, mode) is not None),
+                   None)
+        if hit is not None:
+            best = hit - 1 if best is None else min(best, hit - 1)
+    return best
+
+
+def test_level_window_estimate_is_the_per_n_minimum():
+    from rainbowramsey.posets import _level_window_estimate
+    for p in (p for p in STANDARD_SIX if p.size <= 5):  # the weak scan of L5 alone takes 4 s
+        for mode in ("weak", "strong"):
+            for n_cap in range(1, 6):
+                assert _level_window_estimate(p, mode, n_cap) == _literal_window_min(p, mode, n_cap)
 
 
 def test_m_weak_le_m_strong():

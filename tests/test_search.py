@@ -25,8 +25,8 @@ from rainbowramsey.search import (
     SearchError,
     _MonoClass,
     _bits_of,
+    _cube,
     _interior_table,
-    _order_bitsets,
     _seed_three_point,
     _two_color_pareto_dp,
     fork_can_avoid,
@@ -74,8 +74,8 @@ def test_ramsey_cap_and_budget():
 
 def test_search_n_cap_refused_before_tables(monkeypatch):
     from rainbowramsey import search
-    from rainbowramsey.search import _ORDER_BITS, _PERM_MAPS
-    built = (set(_ORDER_BITS), set(_PERM_MAPS))
+    from rainbowramsey.search import _PERM_MAPS
+    built = (_cube.cache_info().misses, set(_PERM_MAPS))
     for cap in (-1, -5):
         with pytest.raises(SearchError):
             ramsey([C2, C2], "weak", n_cap=cap)
@@ -83,7 +83,7 @@ def test_search_n_cap_refused_before_tables(monkeypatch):
             rainbow_ramsey(C2, C2, "weak", n_cap=cap)
         with pytest.raises(SearchError):
             fork_f_small(2, 1, n_cap=cap)
-    assert (set(_ORDER_BITS), set(_PERM_MAPS)) == built
+    assert (_cube.cache_info().misses, set(_PERM_MAPS)) == built
     # a cap past 8 still answers a search decided by n = 8
     assert ramsey([C2, C2], "weak", n_cap=16).value == 2
     assert rainbow_ramsey(C2, C2, "weak", n_cap=9).value == 1
@@ -292,6 +292,15 @@ def test_fork_can_avoid_matches_naive():
                 assert fork_can_avoid(n, r, k) == fork_can_avoid_naive(n, r, k)
 
 
+def test_fork_refused_past_ground_cap():
+    # no binomial past the n = 64 table is read
+    for call in (lambda: fork_g(1, 66), lambda: fork_g(1, 65), lambda: fork_g_sweep(3, 70),
+                 lambda: fork_can_avoid(65, 1, 1)):
+        with pytest.raises(SearchError, match="n=64 ground cap"):
+            call()
+    assert fork_g(1, 64) == 64
+
+
 def test_fork_naive_uses_real_embedding_counts():
     from rainbowramsey.search import fork_block_check_naive
     # cross-check the bitset superset counter against find_copy on small blocks
@@ -423,14 +432,19 @@ def _canonical(n):
 
 
 def test_order_bitsets_match_subset_definitions():
+    # the per-n table of B_n against its definitions
     for n in range(7):
-        below, above, inc = _order_bitsets(n)
-        masks = list(all_masks(n))
-        for m in masks:
-            assert below[m] == sum(1 << x for x in masks if is_subset(x, m) and x != m)
-            assert above[m] == sum(1 << x for x in masks if is_subset(m, x) and x != m)
-            assert inc[m] == sum(1 << x for x in masks
+        masks, ends, below, above, inc = _cube(n)
+        assert list(masks) == _canonical(n)
+        assert ends == {t for t in range(1, len(masks) + 1)
+                        if t == len(masks) or masks[t].bit_count() != masks[t - 1].bit_count()}
+        values = list(all_masks(n))
+        for m in values:
+            assert below[m] == sum(1 << x for x in values if is_subset(x, m) and x != m)
+            assert above[m] == sum(1 << x for x in values if is_subset(m, x) and x != m)
+            assert inc[m] == sum(1 << x for x in values
                                  if not is_subset(x, m) and not is_subset(m, x))
+        assert _cube(n) is _cube(n)
 
 
 def test_anchored_mono_check_matches_naive():
@@ -446,7 +460,7 @@ def test_anchored_mono_check_matches_naive():
         if n == 4 and pattern.size > 3:
             continue  # keeps the oracle's injection count small
         mode = rng.choice(("weak", "strong"))
-        below = _order_bitsets(n)[0]
+        below = _cube(n).below
         k = rng.randint(1, 3)
         classes = [_MonoClass(pattern, mode, below) for _ in range(k)]
         members = [[] for _ in range(k)]
@@ -474,7 +488,7 @@ def test_anchored_rainbow_check_matches_unanchored():
             n = rng.randint(2, 4)
             k = rng.randint(1 if kind == "antichain" else 2, 4)
             ncolors = rng.randint(max(1, k - 1), k + 2)
-            below, _, inc = _order_bitsets(n)
+            _, _, below, _, inc = _cube(n)
             color = {}
             colored = 0
             class_bits = [0] * ncolors
