@@ -42,6 +42,11 @@ from .criteria import REGISTRY, run_criterion
 _BUDGET = 2_000_000
 _N_CAP = 3
 
+# the largest N of lubell --subcube: C(10^4, 5 * 10^3) has 3,008 digits and
+# takes milliseconds, while C(10^6, 5 * 10^5) takes seconds and larger N
+# far longer
+_SUBCUBE_N_MAX = 10_000
+
 
 class _UsageError(Exception):
     pass
@@ -134,12 +139,14 @@ def _cmd_lubell(args):
         raise _UsageError("lubell needs --family or --subcube")
     if args.subcube:
         n, a, b = args.subcube
+        if n > _SUBCUBE_N_MAX:
+            raise _UsageError(f"lubell --subcube needs N <= {_SUBCUBE_N_MAX}, got {n}")
         v = lubell_subcube(n, a, b)
         body = {"problem": f"lambda_{n}(B_{{{a},{n - b}}})", "value": _jsonable(v)}
     else:
         fam = _read_family(args.family)
         if args.residual:
-            v = maxpart_identity_residual(fam, "auto")
+            v = maxpart_identity_residual(fam, "dp")
             body = {"problem": f"max-partition residual (n={fam.ground})", "value": _jsonable(v)}
         else:
             v = lubell_mass(fam)

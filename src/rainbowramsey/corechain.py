@@ -35,6 +35,18 @@ def _check_inputs(fams):
     return ground
 
 
+def _cross_pair(fams, nested):
+    """The first (i, a, j, b) with i < j, a in fams[i] and b in fams[j]
+    whose nestedness equals nested, or None."""
+    for i in range(len(fams)):
+        for j in range(i + 1, len(fams)):
+            for a in fams[i].members:
+                for b in fams[j].members:
+                    if (is_subset(a, b) or is_subset(b, a)) == nested:
+                        return (i, a, j, b)
+    return None
+
+
 def comparability(fams, sense: str = "comparable") -> bool:
     """Check all cross-family pairs for nestedness (or its absence).
 
@@ -45,25 +57,7 @@ def comparability(fams, sense: str = "comparable") -> bool:
     _check_inputs(fams)
     if sense not in ("comparable", "incomparable"):
         raise CoreChainError(f"unknown sense {sense!r}")
-    want_nested = sense == "comparable"
-    for i in range(len(fams)):
-        for j in range(i + 1, len(fams)):
-            for a in fams[i].members:
-                for b in fams[j].members:
-                    nested = is_subset(a, b) or is_subset(b, a)
-                    if nested != want_nested:
-                        return False
-    return True
-
-
-def _violating_pair(fams):
-    for i in range(len(fams)):
-        for j in range(i + 1, len(fams)):
-            for a in fams[i].members:
-                for b in fams[j].members:
-                    if not (is_subset(a, b) or is_subset(b, a)):
-                        return (i, a, j, b)
-    return None
+    return _cross_pair(fams, sense == "incomparable") is None
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ def core_chain(fams) -> CoreChain:
     recurse below it.  Deterministic by construction.
     """
     ground = _check_inputs(fams)
-    bad = _violating_pair(fams)
+    bad = _cross_pair(fams, False)
     if bad is not None:
         i, a, j, b = bad
         raise CoreChainError(

@@ -349,18 +349,15 @@ def _max_partition_dp(fam: Family) -> MaxPartition:
     return MaxPartition(n, blocks, leftover)
 
 
-def max_partition(fam: Family, mode: str = "auto") -> MaxPartition:
+def max_partition(fam: Family, mode: str = "dp") -> MaxPartition:
     """Partition the n! maximal chains of B_n by their largest member of fam.
 
     blocks[F] counts chains whose largest set of fam is F; leftover counts
-    chains disjoint from fam.  mode "enumerate" walks all n! chains
-    (n <= 10), mode "dp" counts ascending chains with one memo shared by
-    every member (n <= 20);
-    both are exact and agree.
+    chains disjoint from fam.  mode "dp" counts ascending chains with one
+    memo shared by every member (n <= 20); mode "enumerate", the literal
+    reference, walks all n! chains (n <= 10).  Both are exact and agree.
     """
     n = fam.ground
-    if mode == "auto":
-        mode = "enumerate" if n <= 7 else "dp"
     if mode == "enumerate":
         if n > _ENUM_LIMIT:
             raise LatticeError(f"enumeration mode capped at n={_ENUM_LIMIT}, got {n}")

@@ -1,28 +1,21 @@
 """Exact Lubell-mass calculus over B_n.
 
-All masses are fractions.Fraction; nothing here is ever rounded.  The
-Pascal table of big-integer binomials is built eagerly at import and
-shared read-only.
+All masses are fractions.Fraction; nothing here is ever rounded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .lattice import Family, LatticeError, max_partition
 
-# Pascal rows up to n = 64, PASCAL[n][k] = C(n, k).
-PASCAL = [[1]]
-for _ in range(64):
-    prev = PASCAL[-1]
-    PASCAL.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-
 
 def binom(n: int, k: int) -> int:
+    """C(n, k), exact, and 0 when k < 0 or k > n."""
     if k < 0 or k > n:
         return 0
-    return PASCAL[n][k]
+    return comb(n, k)
 
 
 def lubell_mass(fam: Family) -> Fraction:

@@ -408,15 +408,12 @@ def _level_window_estimate(pattern, mode, n_cap):
     return None
 
 
-def extremal_params(pattern: PosetPattern, n_cap: int = 6,
-                    e_known: int | None = None,
-                    e_star_known: int | None = None) -> PosetParams:
+def extremal_params(pattern: PosetPattern, n_cap: int = 6) -> PosetParams:
     """Exhaustively computed m(P), m*(P), r*(P) up to n_cap, plus e-estimates.
 
     e_estimate / e_star_estimate are upper bounds on e(P), e*(P) from
     level windows of small cubes; they are exact (and flagged so) for
-    chains, where e(C_l) = e*(C_l) = l - 1, and may be overridden by a
-    caller-supplied known value.
+    chains, where e(C_l) = e*(C_l) = l - 1.
     """
     if n_cap < 1 or n_cap > 7:
         raise PosetError("extremal_params supports 1 <= n_cap <= 7")
@@ -430,13 +427,7 @@ def extremal_params(pattern: PosetPattern, n_cap: int = 6,
         e_est = e_star_est = pattern.size - 1
         prov["e"] = prov["e_star"] = "wired: chain"
     else:
-        if e_known is not None:
-            e_est, prov["e"] = e_known, "user"
-        else:
-            e_est, prov["e"] = _level_window_estimate(pattern, "weak", n_cap), "estimate"
-        if e_star_known is not None:
-            e_star_est, prov["e_star"] = e_star_known, "user"
-        else:
-            e_star_est, prov["e_star"] = _level_window_estimate(pattern, "strong", n_cap), "estimate"
+        e_est, prov["e"] = _level_window_estimate(pattern, "weak", n_cap), "estimate"
+        e_star_est, prov["e_star"] = _level_window_estimate(pattern, "strong", n_cap), "estimate"
     return PosetParams(sp["connected"], sp["f"], m_weak, m_strong, r_star,
                        e_est, e_star_est, n_cap, prov)

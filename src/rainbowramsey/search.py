@@ -13,7 +13,6 @@ in the result details).
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -120,50 +119,50 @@ def _bits_of(x):
 
 class _MonoClass:
     """One color class of a canonical-order search, free of a copy of its
-    pattern.  For a chain C_l a copy through x is a height test: h(x) =
-    1 + max h over the strict subsets of x in the class, and a copy exists
-    iff h(x) >= l.  layers[j] is the bitset of the class's sets of height
-    > j.  Other patterns re-run the copy search on the class."""
+    pattern; bits is the bitset of the class's sets.  For a chain C_l a
+    copy through x is a height test: h(x) = 1 + max h over the strict
+    subsets of x in the class, and a copy exists iff h(x) >= l.  layers[j]
+    is the bitset of the class's sets of height > j.  Other patterns
+    re-run the copy search on the class."""
 
-    __slots__ = ("pattern", "mode", "below", "layers", "members")
+    __slots__ = ("pattern", "mode", "below", "layers", "bits")
 
     def __init__(self, pattern, mode, below):
         self.pattern = pattern
         self.mode = mode
         self.below = below
         self.layers = [0] * (pattern.size - 1) if pattern.is_chain() else None
-        self.members = []
+        self.bits = 0
 
     def add(self, x):
         """Put x in the class and return True, or leave the class as it
         was and return False when x completes a copy of the pattern."""
+        bit = 1 << x
         layers = self.layers
         if layers is None:
-            self.members.append(x)
-            if _search_embedding(tuple(self.members), self.pattern, self.mode, False) is None:
-                return True
-            self.members.pop()
-            return False
-        below = self.below[x]
-        h = len(layers)
-        while h and not layers[h - 1] & below:
-            h -= 1
-        if h == len(layers):
-            return False
-        bit = 1 << x
-        for j in range(h + 1):
-            layers[j] |= bit
+            if _search_embedding(tuple(_bits_of(self.bits | bit)), self.pattern,
+                                 self.mode, False) is not None:
+                return False
+        else:
+            below = self.below[x]
+            h = len(layers)
+            while h and not layers[h - 1] & below:
+                h -= 1
+            if h == len(layers):
+                return False
+            for j in range(h + 1):
+                layers[j] |= bit
+        self.bits |= bit
         return True
 
     def remove(self, x):
         """Undo the last successful add(x)."""
-        layers = self.layers
-        if layers is None:
-            self.members.pop()
-            return
         keep = ~(1 << x)
-        for j in range(len(layers)):
-            layers[j] &= keep
+        self.bits &= keep
+        layers = self.layers
+        if layers is not None:
+            for j in range(len(layers)):
+                layers[j] &= keep
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,6 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
         # below the newest set
         q_shorter = standard_poset("chain", q_size - 1) if q.is_chain() and q_size > 1 else None
         color_of = [None] * (1 << n)
-        class_bits = [0] * limit   # the sets colored before position t, by color
 
         def rainbow_through(t, x, c):
             """Color x with c; True when that completes a rainbow q."""
@@ -297,14 +295,14 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
                 # a new copy goes through x: a rainbow strong A_{q-1} among
                 # the colored sets incomparable to x, in the other classes
                 others = [b for d in range(used[t] + 1)
-                          if d != c and (b := class_bits[d] & inc[x])]
+                          if d != c and (b := classes[d].bits & inc[x])]
                 return _rainbow_strong_antichain(others, inc.__getitem__,
                                                  q_size - 1) is not None
             if q_shorter is not None:
                 # x tops any new copy (no colored set lies above it): a
                 # rainbow C_{l-1} among the strict subsets of x outside x's
                 # class, all colored since they precede x
-                cand = below[x] & ~class_bits[c]
+                cand = below[x] & ~classes[c].bits
                 return _search_embedding(tuple(_bits_of(cand)), q_shorter, "weak", False,
                                          color_of=color_of.__getitem__) is not None
             return _search_embedding(tuple(masks[:t + 1]), q, mode, False,
@@ -335,8 +333,6 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
             c += 1
         if c <= top:
             assign[t] = c
-            if q is not None:
-                class_bits[c] |= 1 << x
             used[t + 1] = max(used[t], c)
             tied[t + 1] = tied[t]
             t += 1
@@ -346,10 +342,7 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
             return None
         t -= 1
         c = assign[t]
-        x = masks[t]
-        if q is not None:
-            class_bits[c] ^= 1 << x
-        classes[c].remove(x)
+        classes[c].remove(masks[t])
         c += 1
 
 
@@ -814,26 +807,16 @@ def two_color_size_dp_oracle(n: int) -> int:
 # fork-Ramsey functions g_k(r) and f_k(r)
 # ---------------------------------------------------------------------------
 
-_CUM_CACHE = {}
-
-
-def _cum_row(m):
-    """cum[t] = sum_{j=1..t} C(m, j)."""
-    row = _CUM_CACHE.get(m)
-    if row is None:
-        row = [0]
-        for j in range(1, m + 1):
-            row.append(row[-1] + binom(m, j))
-        _CUM_CACHE[m] = row
-    return row
-
-
 def _max_block_len(n, lo, r):
     """Longest d with levels lo..lo+d-1 of B_n free of weak V_r: the bottom
     level's strict-superset count sum_{j=1..d-1} C(n-lo, j) stays < r."""
-    row = _cum_row(n - lo)
-    t = bisect_right(row, r - 1) - 1
-    return min(t + 1, n + 1 - lo)
+    m = n - lo
+    total = 0   # sum_{j=1..d} C(m, j)
+    for d in range(m + 1):
+        if total >= r:
+            return d
+        total += binom(m, d + 1)
+    return m + 1
 
 
 def fork_can_avoid(n: int, r: int, k: int) -> bool:
@@ -841,8 +824,9 @@ def fork_can_avoid(n: int, r: int, k: int) -> bool:
 
     Greedy maximal blocks from the bottom are optimal: the longest V_r-free
     block starting at level lo is nondecreasing in lo, so any avoiding
-    composition is dominated by the greedy one.  n is capped at 64, the
-    end of the binomial table.
+    composition is dominated by the greedy one.  n is capped at 64: a
+    call takes up to min(k, n + 1) greedy steps, and fork_g walks n up
+    from k - 1, so the cap is what bounds fork_g for a large k.
     """
     if n > 64:
         raise SearchError(f"n = {n} is past the n=64 ground cap")

@@ -58,6 +58,8 @@ def test_m_k_scan():
     assert min_middle_binomial_dim(4) == 4
     assert min_middle_binomial_dim(6) == 4
     assert min_middle_binomial_dim(7) == 5
+    assert min_middle_binomial_dim(10**19) == 67
+    assert min_middle_binomial_dim(10**30) == 104
 
 
 def test_rainbow_antichain_bound_chain_instance():

@@ -1,8 +1,9 @@
 import hashlib
 import json
 import warnings
+from math import comb
 
-from rainbowramsey import asymptotics, colorings, search
+from rainbowramsey import asymptotics, colorings, lubell, search
 from rainbowramsey.cli import main
 from rainbowramsey.lattice import Family
 
@@ -287,6 +288,18 @@ def test_fork_g_refused_past_ground_cap(capsys):
     assert "n=64 ground cap" in capsys.readouterr().err
     code, out = run_cli(capsys, "fork", "--which", "g", "--r", "1", "--k", "64")
     assert code == 0 and json.loads(out)["result"]["value"] == 64
+
+
+def test_lubell_subcube_past_64_and_refused_past_cap(capsys, monkeypatch):
+    code, out = run_cli(capsys, "lubell", "--subcube", "200", "100", "100")
+    assert code == 0 and json.loads(out)["result"]["value"] == f"1/{comb(200, 100)}"
+
+    def computed(*args):
+        raise AssertionError("binomial computed")
+
+    monkeypatch.setattr(lubell, "binom", computed)
+    assert main(["lubell", "--subcube", "10001", "1", "1"]) == 1
+    assert "needs N <= 10000" in capsys.readouterr().err
 
 
 def test_coloring_gen_capped_before_enumerating(capsys, monkeypatch):

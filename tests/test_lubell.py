@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -47,6 +47,19 @@ def test_subcube_closed_form_examples():
         assert lubell_subcube(n, 0, 0) == n + 1
         for a in range(n + 1):
             assert lubell_subcube(n, a, n - a) == Fraction(1, binom(n, a))
+
+
+def test_binom_matches_pascal_recurrence_past_64():
+    row = [1]
+    for n in range(71):
+        assert [binom(n, k) for k in range(-2, n + 3)] == [0, 0] + row + [0, 0], n
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+
+
+def test_subcube_past_64():
+    assert lubell_subcube(200, 100, 100) == lubell_subcube_direct(200, 100, 100) \
+        == Fraction(1, comb(200, 100))
+    assert lubell_subcube(70, 3, 4) == lubell_subcube_direct(70, 3, 4)
 
 
 def test_subcube_closed_equals_direct():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -27,6 +28,7 @@ from rainbowramsey.search import (
     _bits_of,
     _cube,
     _interior_table,
+    _max_block_len,
     _seed_three_point,
     _two_color_pareto_dp,
     fork_can_avoid,
@@ -47,6 +49,8 @@ C3 = poset_by_name("C3")
 C4 = standard_poset("chain", 4)
 V2 = poset_by_name("V2")
 A3 = poset_by_name("A3")
+A2 = poset_by_name("A2")
+L2 = poset_by_name("L2")
 
 
 # --- R and RR ---------------------------------------------------------------
@@ -293,12 +297,24 @@ def test_fork_can_avoid_matches_naive():
 
 
 def test_fork_refused_past_ground_cap():
-    # no binomial past the n = 64 table is read
+    # the cap bounds fork_g's walk up n for a large k
     for call in (lambda: fork_g(1, 66), lambda: fork_g(1, 65), lambda: fork_g_sweep(3, 70),
                  lambda: fork_can_avoid(65, 1, 1)):
         with pytest.raises(SearchError, match="n=64 ground cap"):
             call()
     assert fork_g(1, 64) == 64
+
+
+def test_max_block_len_matches_cumulative_sums():
+    # the literal definition: the longest d <= n - lo + 1 for which the
+    # bottom level has sum_{j=1..d-1} C(n - lo, j) < r strict supersets
+    rs = list(range(1, 81)) + [10**6, 2**40, 2**64]
+    for m in range(65):
+        supersets = [sum(comb(m, j) for j in range(1, d)) for d in range(m + 2)]
+        want = {r: max(d for d in range(m + 2) if supersets[d] < r) for r in rs}
+        for n in range(m, 65):
+            for r in rs:
+                assert _max_block_len(n, n - m, r) == want[r], (n, n - m, r)
 
 
 def test_fork_naive_uses_real_embedding_counts():
@@ -546,8 +562,18 @@ def _digest(col):
      "b14d00e24aaee746"),
     (lambda sym: ramsey([C3, C4], "weak", 5, symmetry=sym), 5, (26_551, 211_136),
      "3c1ea7926399f81d"),
+    # non-chain patterns: the mono check re-runs the copy search on the
+    # class, and a rainbow q that is neither a chain nor an antichain is
+    # looked for in the whole prefix
+    (lambda sym: rainbow_ramsey(V2, A3, "strong", 5, symmetry=sym), 5, (399, 965),
+     "f207d9f9ce97e6f3"),
+    (lambda sym: ramsey([V2, L2], "weak", 4, symmetry=sym), 4, (148, 188), "ce739c8086240262"),
+    (lambda sym: rainbow_ramsey(A2, L2, "strong", 4, symmetry=sym), 3, (49, 49),
+     "6ea343e4c9b5f859"),
+    (lambda sym: rainbow_ramsey(C2, V2, "strong", 4, symmetry=sym), 3, (15, 15),
+     "33f981b1d4bcdcdb"),
 ], ids=["R(C3,C3)", "RR(C2,A3) strong", "RR(C3,C3) weak", "R(C2,C4)", "R(C2,C2,C3)",
-        "R(C3,C4)"])
+        "R(C3,C4)", "RR(V2,A3) strong", "R(V2,L2)", "RR(A2,L2) strong", "RR(C2,V2) strong"])
 def test_pinned_search_trees(run, value, nodes, witness):
     # the anchored checks prune exactly what the full copy searches did:
     # same node counts, values and witnesses, symmetry on and off
