@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import isqrt
+from operator import itemgetter
 
 from .lattice import (
     Family,
@@ -31,7 +32,10 @@ class ColoringError(ValueError):
 
 def _canonicalize(items):
     """Sort by canonical set order and rename colors in first-seen order."""
-    items = sorted(items, key=lambda mc: canonical_key(mc[0]))
+    # two stable sorts, by mask and then by size, give the canonical_key
+    # order (ties included) without building a key tuple per item
+    items = sorted(items, key=itemgetter(0))
+    items.sort(key=lambda mc: mc[0].bit_count())
     remap = {}
     out = []
     for mask, c in items:

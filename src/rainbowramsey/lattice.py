@@ -151,7 +151,8 @@ class Family:
         for m in uniq:
             if m & ~full:
                 raise LatticeError(f"mask {m:#x} has bits outside ground [{ground}]")
-        return Family(ground, tuple(sorted(uniq, key=canonical_key)))
+        # the canonical_key order, by two C-keyed sorts
+        return Family(ground, tuple(sorted(sorted(uniq), key=int.bit_count)))
 
     @staticmethod
     def whole_cube(n: int) -> "Family":

@@ -645,6 +645,15 @@ def _two_color_pareto_dp(n, pts, blk, seed_best):
     point is pinned to class 0 (global color swap symmetry).  Dominance
     and the optimistic completion bound are exact, so the returned value
     is the true optimum; parent links reconstruct an extremal config.
+
+    The completion bound assumes only that remaining[l] bounds all weight
+    placeable above the level-l point (so the weights must be nonnegative).
+    It is applied twice: when a state is popped, and, strictly, to each
+    transition before any child is stored.  The four children of (a, b)
+    at nxt all add w + pw, so each has min <= min(a, b) + w + pw and sum
+    a + b + w + pw; a transition failing the bound yields only children
+    the pop-time test would skip, and since best only grows, the expanded
+    states, the value and the parent links are those of storing them all.
     """
     zero = pts[0] - pts[0]
     # everything placeable above the level-l point sits strictly inside
@@ -667,11 +676,21 @@ def _two_color_pareto_dp(n, pts, blk, seed_best):
                 hi2 = pair[1]
         ub = remaining[lvl]
         row = blk[lvl]
+        # every child at nxt adds row[nxt] + pts[nxt] in all, then at most
+        # remaining[nxt]: one bound for the four of them, largest first
+        ups = sorted(((row[nxt] + pts[nxt] + remaining[nxt], nxt)
+                      for nxt in range(lvl + 1, n + 1)), reverse=True)
         for pair in kept:
             a, b = pair
-            if min(a, b) + ub <= best or (a + b + ub) <= 2 * best:
+            # adding u in all lifts the min past best only if u > need
+            # (min(a, b) + u > best and a + b + u > 2 * best); a transition
+            # with up == need is kept, for the pairs with min == best at n
+            need = max(best - min(a, b), 2 * best - a - b)
+            if ub <= need:
                 continue
-            for nxt in range(lvl + 1, n + 1):
+            for up, nxt in ups:
+                if up < need:
+                    break
                 w = row[nxt]
                 pw = pts[nxt]
                 tgt = fronts.setdefault(nxt, {})
@@ -780,7 +799,13 @@ def two_color_partial_exact(n: int, objective: str = "size") -> SearchResult:
         # keeps every comparison, so the front and the config are the same
         scale = lcm(*(binom(n, l) for l in range(n + 1)))
         pts = [scale // binom(n, l) for l in range(n + 1)]
-        blk = _interior_table(n, pts, lambda a, b: int(scale * lubell_interval(n, a, b)))
+
+        def closed(a, b):
+            # exact: the scaled mass is an integer, so m.denominator | scale
+            m = lubell_interval(n, a, b)
+            return scale // m.denominator * m.numerator
+
+        blk = _interior_table(n, pts, closed)
         seed, seed_cfg = _seed_three_point(n, pts, blk)
         v, cfg = _two_color_pareto_dp(n, pts, blk, seed)
         if cfg is None:
@@ -826,10 +851,13 @@ def fork_can_avoid(n: int, r: int, k: int) -> bool:
     block starting at level lo is nondecreasing in lo, so any avoiding
     composition is dominated by the greedy one.  n is capped at 64: a
     call takes up to min(k, n + 1) greedy steps, and fork_g walks n up
-    from k - 1, so the cap is what bounds fork_g for a large k.
+    from k - 1, so the cap is what bounds fork_g for a large k.  r < 1 is
+    refused, as by fork_g.
     """
     if n > 64:
         raise SearchError(f"n = {n} is past the n=64 ground cap")
+    if r < 1:
+        raise SearchError("fork_can_avoid needs r >= 1")
     if k > n + 1:
         return False  # no composition of n+1 into k positive parts
     lo = 0
@@ -906,6 +934,8 @@ def fork_block_check_naive(n: int, lo: int, hi: int, r: int) -> bool:
 
 def fork_can_avoid_naive(n: int, r: int, k: int) -> bool:
     """Per-composition oracle for fork_can_avoid."""
+    if r < 1:
+        raise SearchError("fork_can_avoid_naive needs r >= 1")
     if k > n + 1:
         return False
 

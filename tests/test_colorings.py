@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from rainbowramsey.lattice import Family, all_masks, are_comparable, full_mask, is_subset
+from rainbowramsey.lattice import (
+    Family,
+    all_masks,
+    are_comparable,
+    canonical_key,
+    full_mask,
+    is_subset,
+)
 from rainbowramsey.lubell import lubell_mass
 from rainbowramsey.corechain import comparability
 from rainbowramsey.posets import PosetPattern, _search_embedding, poset_by_name, standard_poset
@@ -33,6 +40,27 @@ def test_coloring_canonical_renaming():
     col = Coloring(2, [(0b11, 7), (0, 3), (0b01, 3)])
     assert col.color(0) == 0 and col.color(0b01) == 0 and col.color(0b11) == 1
     assert col.num_colors == 2
+
+
+def test_canonical_order_matches_canonical_key_sort():
+    # Coloring items and Family members come out in the order of a plain
+    # sort by canonical_key, colors renamed in first-seen order after it
+    rng = random.Random(14)
+    for n in range(9):
+        for trial in range(6):
+            masks = list(all_masks(n))
+            if trial:
+                masks = rng.sample(masks, rng.randint(0, len(masks)))
+            rng.shuffle(masks)
+            pairs = [(m, rng.choice("xyz")) for m in masks]
+            remap = {}
+            want = []
+            for m, c in sorted(pairs, key=lambda mc: canonical_key(mc[0])):
+                want.append((m, remap.setdefault(c, len(remap))))
+            assert Coloring(n, pairs, total=not trial).items == tuple(want)
+            repeated = masks + rng.sample(masks, len(masks) // 2)
+            rng.shuffle(repeated)
+            assert Family.make(n, repeated).members == tuple(sorted(masks, key=canonical_key))
 
 
 def test_coloring_rejects_double_assignment():

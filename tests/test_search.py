@@ -201,7 +201,7 @@ def test_two_color_size_closed_form_window():
 
 
 def test_two_color_size_pareto_oracle_agreement():
-    for n in range(1, 13):
+    for n in range(1, 25):
         assert two_color_partial_exact(n, "size").value == two_color_size_dp_oracle(n) + 1
 
 
@@ -213,29 +213,25 @@ def test_two_color_size_witness_valid():
         assert comparability([w.class_family(0), w.class_family(1)])
 
 
-def _mass_config_brute(n):
-    """Max-min mass by brute force over every core-chain configuration:
-    all level subsets containing 0 and n, all block colorings, all point
-    assignments.  Independent of the Pareto DP's pruning and dominance."""
+def _config_brute(n, pt, interior):
+    """Max-min class weight by brute force over every core-chain
+    configuration: all level subsets containing 0 and n, all block
+    colorings, all point assignments, for point weights pt(l) and block
+    interiors interior(a, b).  Independent of the Pareto DP's pruning and
+    dominance."""
     from itertools import combinations
-    from rainbowramsey.lubell import lubell_interval
 
-    def pt(l):
-        return Fraction(1, binom(n, l))
-
-    best = Fraction(0)
+    best = 0
     inner = list(range(1, n))
     for r in range(len(inner) + 1):
         for chosen in combinations(inner, r):
             levels = (0,) + chosen + (n,)
             blocks = [(levels[i], levels[i + 1])
                       for i in range(len(levels) - 1) if levels[i + 1] - levels[i] >= 2]
-            bw = [lubell_interval(n, a, b) - pt(a) - pt(b) for a, b in blocks]
+            bw = [interior(a, b) for a, b in blocks]
             for bcol in range(1 << len(blocks)):
-                base0 = sum((w for i, w in enumerate(bw) if not bcol >> i & 1),
-                            Fraction(0))
-                base1 = sum((w for i, w in enumerate(bw) if bcol >> i & 1),
-                            Fraction(0))
+                base0 = sum(w for i, w in enumerate(bw) if not bcol >> i & 1)
+                base1 = sum(w for i, w in enumerate(bw) if bcol >> i & 1)
                 for pcol in range(1 << len(levels)):
                     m0, m1 = base0, base1
                     for i, l in enumerate(levels):
@@ -249,12 +245,42 @@ def _mass_config_brute(n):
     return best
 
 
+def _mass_config_brute(n):
+    from rainbowramsey.lubell import lubell_interval
+
+    def pt(l):
+        return Fraction(1, binom(n, l))
+
+    return _config_brute(n, pt, lambda a, b: lubell_interval(n, a, b) - pt(a) - pt(b))
+
+
 def test_two_color_mass_small_exact_and_config_brute():
     assert two_color_partial_exact(2, "mass").value == 1
     assert two_color_partial_exact(3, "mass").value == 2
     assert two_color_partial_exact(4, "mass").value == 2
     for n in (2, 3, 4, 5, 6):
         assert two_color_partial_exact(n, "mass").value == _mass_config_brute(n)
+
+
+def test_pareto_dp_matches_brute_on_random_level_weights():
+    # per-level weights wt[l] >= 0, zeros included: a block weighs
+    # sum_i C(b-a, i-a) * wt[i], like the Lubell mass with other point
+    # weights; zero interiors take the DP's uncolored-block branch
+    zero_interiors = 0
+    for seed in range(50):
+        rng = random.Random(seed)
+        for n in range(1, 7):
+            wt = [rng.choice((0, 0, 1, 2, 3, 5, 8)) for _ in range(n + 1)]
+            blk = _interior_table(
+                n, wt, lambda a, b: sum(comb(b - a, i - a) * wt[i] for i in range(a, b + 1)))
+            zero_interiors += any(blk[a][b] == 0 for a in range(n + 1)
+                                  for b in range(a + 2, n + 1))
+            seed_v, _ = _seed_three_point(n, wt, blk)
+            v, _ = _two_color_pareto_dp(n, wt, blk, seed_v)
+            brute = _config_brute(n, wt.__getitem__, lambda a, b: sum(
+                comb(b - a, i - a) * wt[i] for i in range(a + 1, b)))
+            assert max(v, seed_v) == brute, (seed, n, wt)
+    assert zero_interiors > 0
 
 
 def test_integer_mass_dp_matches_rational_weights():
@@ -294,6 +320,15 @@ def test_fork_can_avoid_matches_naive():
         for r in (1, 2, 3, 5, 9, 17):
             for k in (1, 2, 3):
                 assert fork_can_avoid(n, r, k) == fork_can_avoid_naive(n, r, k)
+
+
+def test_fork_can_avoid_refuses_r_below_one():
+    # as fork_g does: r < 1 is outside the documented range of both
+    for r in (0, -1):
+        for n in (1, 2, 3):
+            for call in (fork_can_avoid, fork_can_avoid_naive):
+                with pytest.raises(SearchError, match="needs r >= 1"):
+                    call(n, r, n + 1)
 
 
 def test_fork_refused_past_ground_cap():
@@ -423,6 +458,23 @@ def test_pinned_gprime_bodies(n, value, digest):
     res = two_color_partial_exact(n, "mass")
     body = json.dumps([res.to_jsonable(), res.details], sort_keys=True)
     assert (res.value, hashlib.sha256(body.encode()).hexdigest()[:16]) == (value, digest)
+
+
+@pytest.mark.parametrize("n, value, config", [
+    (33, Fraction(59, 25), [(0, None, 0), (9, 0, 0), (33, 1, 0)]),
+    (34, Fraction(61, 26), [(0, None, 0), (9, 0, 0), (34, 1, 0)]),
+    (35, Fraction(7, 3), [(0, None, 0), (9, 0, 0), (35, 1, 0)]),
+    (36, Fraction(26, 11), [(0, None, 0), (10, 0, 1), (36, 1, 0)]),
+    (37, Fraction(33, 14), [(0, None, 0), (10, 0, 0), (37, 1, 0)]),
+    (38, Fraction(68, 29), [(0, None, 0), (10, 0, 0), (38, 1, 0)]),
+    (39, Fraction(7, 3), [(0, None, 0), (10, 0, 0), (39, 1, 0)]),
+    (40, Fraction(71, 30), [(0, None, 0), (11, 0, 0), (40, 1, 0)]),
+])
+def test_pinned_gprime_configs_to_cap(n, value, config):
+    # G'(n,2) and its chain config up to the n <= 40 cap (no witness past
+    # n = 16), as the DP gave before it bounded transitions
+    res = two_color_partial_exact(n, "mass")
+    assert (res.value, res.details["chain_config"]) == (value, config)
 
 
 def test_pinned_two_color_size_bodies():
