@@ -281,6 +281,19 @@ def _chain_copy(members, pattern: PosetPattern):
     return tuple(images)
 
 
+def _no_room(members, pattern: PosetPattern) -> bool:
+    """True when some pattern element has more elements below (or above)
+    it than every member has members strictly below (above) it.  The
+    images of the elements below an element are distinct members strictly
+    below its image in every mode, so then no copy exists."""
+    k = range(pattern.size)
+    below = max(sum(pattern.less(i, j) for i in k) for j in k)
+    above = max(sum(pattern.less(j, i) for i in k) for j in k)
+    # members come in level order: the last have the most members below
+    return (not any(sum(y & ~x == 0 for y in members) > below for x in reversed(members))
+            or not any(sum(x & ~y == 0 for y in members) > above for x in members))
+
+
 def find_copy(host: Family, pattern: PosetPattern, mode: str = "weak",
               thin: bool = False):
     """First weak/strong (optionally thin) copy of pattern in host, or None.
@@ -289,6 +302,8 @@ def find_copy(host: Family, pattern: PosetPattern, mode: str = "weak",
     extension and candidates in the family's canonical order, so the
     returned witness is reproducible.  Chain patterns are decided by
     up-heights over member bitsets (_chain_copy) and return the same copy.
+    Other patterns that are no antichain first go through _no_room, which
+    refuses a host whose members have too few members below or above.
     """
     if mode not in ("weak", "strong"):
         raise PosetError(f"mode must be weak or strong, got {mode!r}")
@@ -296,6 +311,8 @@ def find_copy(host: Family, pattern: PosetPattern, mode: str = "weak",
         return None
     if pattern.is_chain():
         images = _chain_copy(host.members, pattern)
+    elif not pattern.is_antichain() and _no_room(host.members, pattern):
+        return None
     else:
         images = _search_embedding(host.members, pattern, mode, thin)
     if images is None:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate, permutations, repeat
-from math import lcm
+from math import factorial, lcm
+from operator import and_
 from typing import NamedTuple
 
 from .lattice import all_masks, canonical_key, full_mask, order_rows
@@ -173,27 +174,47 @@ _PERM_MAPS = {}
 
 
 def _perm_position_maps(n):
-    """For each nonidentity permutation of the ground set, position t of the
-    canonical order maps to the position of the permuted mask (levels are
-    preserved, so boundaries at complete levels are permutation-stable)."""
-    maps = _PERM_MAPS.get(n)
-    if maps is None:
-        masks = _cube(n).masks
-        pos = [0] * (1 << n)
-        for t, m in enumerate(masks):
-            pos[m] = t
-        image = [0] * (1 << n)
-        maps = []
-        for perm in permutations(range(n)):
-            if perm == tuple(range(n)):
-                continue
-            for m in range(1, 1 << n):
-                low = m & -m
-                image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
-            maps.append(tuple([pos[image[m]] for m in masks]))
-        if n <= 6:
-            _PERM_MAPS[n] = maps
-    return maps
+    """For each position t of the canonical order, the sets of permutations
+    sending masks[t] to each mask of its level: rows[t][j] holds the
+    permutations sigma of the ground set with sigma(masks[t]) = masks[lo + j],
+    lo the level's first position.  A set of permutations is a bitset whose
+    bit k is the k-th of itertools.permutations(range(n)), so bit 0 is the
+    identity; the sets of one row partition all n! permutations.
+
+    Built from the n^2 element sets "sigma(a) = b": sigma(A) = B exactly
+    when every a in A goes into B, an AND over a in A of an OR over b in B.
+    Tables for n <= 6 are kept, and at most one larger one (n = 8's holds
+    12,870 sets of 40,320 bits, about 63 MiB).
+    """
+    rows = _PERM_MAPS.get(n)
+    if rows is None:
+        perms = list(permutations(range(n)))
+        everyone = (1 << len(perms)) - 1
+        # sends[a][b]: the permutations with sigma(a) = b, read from a
+        # string of binary digits, the last permutation first
+        digits = [bytes(48 + (v == b) for v in range(256)) for b in range(n)]
+        sends = []
+        for a in range(n):
+            images = bytes(perm[a] for perm in reversed(perms))
+            sends.append([int(images.translate(d), 2) for d in digits])
+        masks, ends = _cube(n)[:2]
+        rows = []
+        lo = 0
+        for hi in sorted(ends):
+            level = masks[lo:hi]
+            # into[j][a]: the permutations sending a into level[j] (an OR over
+            # b in level[j]; the sets sends[a][b] are disjoint, so a sum)
+            into = [[sum(sends[a][b] for b in _bits_of(m)) for a in range(n)] for m in level]
+            for m in level:
+                elements = list(_bits_of(m))
+                rows.append(tuple(reduce(and_, map(sets.__getitem__, elements), everyone)
+                                  for sets in into))
+            lo = hi
+        if n > 6:
+            for m in [m for m in _PERM_MAPS if m > 6]:
+                del _PERM_MAPS[m]
+        _PERM_MAPS[n] = rows
+    return rows
 
 
 def _prefix_is_orbit_min(assign, t, tied, rename, ties_out):
@@ -201,35 +222,47 @@ def _prefix_is_orbit_min(assign, t, tied, rename, ties_out):
     permutation orbit (colors renamed first-seen when rename is set, in
     which case assign is restricted-growth and so its own renaming).
 
-    tied = (s, pmaps) holds, for an earlier complete-level boundary s of
-    the same prefix, the position maps of the nonidentity permutations
-    whose permuted prefix equals the prefix through s; every other
-    permutation is larger before s and stays larger.  Each permuted prefix
-    is built on from s one element at a time and compared up to the first
-    difference; the maps of those equal through t go to ties_out.
+    tied = (s, classes) holds, for the level end s before t (so positions
+    s..t-1 are one level), the permutations whose permuted prefix equals
+    the prefix through s; every other permutation is larger before s and
+    stays larger.  A class is a pair (cmap, bits): a bitset of such
+    permutations that share one color renaming cmap (None when colors are
+    not renamed).  At each position i from s on, the row of i splits the
+    permutations by the color they read there, the color of the set they
+    send masks[i] to.  A permutation reading a label below the prefix's
+    is smaller, so the prefix is not minimal; one reading an equal label
+    stays tied, a color new to cmap taking the next label and starting a
+    new class (never a label below the prefix's: the tied permutations
+    have seen every color of the prefix, so their next label is the
+    prefix's largest plus one).  The classes still tied at t go to
+    ties_out.  The identity always ties, so a class holding it alone is
+    handed on as it is, its renaming no longer read.
     """
-    s, pmaps = tied
-    # a permuted prefix equal to the prefix through s names its colors at
-    # the positions where the prefix shows each color first; without
-    # renaming the color map is the identity
-    firsts = []
-    if rename:
-        for j in range(s):
-            if assign[j] == len(firsts):
-                firsts.append(j)
-    else:
-        identity = {c: c for c in assign[:t]}
-    for pmap in pmaps:
-        remap = {assign[pmap[j]]: label for label, j in enumerate(firsts)} if rename else identity
-        for i in range(s, t):
-            c = remap.setdefault(assign[pmap[i]], len(remap))
-            b = assign[i]
-            if c != b:
-                if c < b:
+    s, classes = tied
+    if len(classes) == 1 and classes[0][1] == 1:
+        ties_out.append(classes[0])
+        return True
+    rows = _perm_position_maps(len(assign).bit_length() - 1)
+    level = assign[s:t]
+    colors = sorted(set(level))
+    for i in range(s, t):
+        reading = [0] * (colors[-1] + 1)   # color -> the permutations reading it
+        for c, bits in zip(level, rows[i]):
+            reading[c] |= bits
+        b = assign[i]
+        kept = []
+        for cmap, live in classes:
+            for c in colors:
+                both = reading[c] & live
+                if not both:
+                    continue
+                label = c if cmap is None else cmap.get(c, len(cmap))
+                if label < b:
                     return False
-                break
-        else:
-            ties_out.append(pmap)
+                if label == b:
+                    kept.append((cmap if cmap is None or c in cmap else {**cmap, c: b}, both))
+        classes = kept
+    ties_out.extend(classes)
     return True
 
 
@@ -274,7 +307,8 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
     used = [-1] * (total + 1)     # the highest color used before position t
     tied = [None] * (total + 1)   # orbit-test ties handed to position t
     if use_sym:
-        tied[0] = (0, _perm_position_maps(n))
+        # every permutation ties on the empty prefix, under no renaming yet
+        tied[0] = (0, [({} if rename else None, (1 << factorial(n)) - 1)])
 
     if q is not None:
         q_size = q.size
@@ -347,9 +381,10 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
 
 
 # The largest n ramsey and rainbow_ramsey search: their per-n tables grow
-# with n! and 4^n (_perm_position_maps(8) holds 40,319 maps of 256
-# positions, about 100 MiB), so a search still undecided at this n is
-# refused before the next n's tables are built.
+# with n! and 4^n (_perm_position_maps(8) holds 12,870 sets of 40,320
+# permutations, about 63 MiB; n = 9's would hold 48,620 sets of 362,880,
+# about 2.1 GiB), so a search still undecided at this n is refused before
+# the next n's tables are built.
 _N_CAP_MAX = 8
 
 

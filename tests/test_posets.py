@@ -8,6 +8,7 @@ from rainbowramsey.lattice import Family, all_masks, levels_family, random_famil
 from rainbowramsey.posets import (
     PosetError,
     PosetPattern,
+    _no_room,
     _pattern_from_strict,
     _search_embedding,
     extremal_params,
@@ -125,6 +126,32 @@ def test_find_copy_matches_naive_oracle():
                     fast = find_copy(host, p, mode, thin) is not None
                     slow = find_copy_naive(host, p, mode, thin) is not None
                     assert fast == slow, (n, host.members, mode, thin)
+
+
+def test_room_precheck_matches_naive_oracle():
+    # seeded small hosts (random families and level windows) and non-chain
+    # patterns: find_copy, whose pre-check refuses a host with too few
+    # members below or above, agrees with the all-injections oracle
+    rng = random.Random(279)
+    pats = [p for p in STANDARD_SIX if not p.is_chain() and p.size <= 4]
+    refused = 0
+    for _ in range(50):
+        n = rng.randint(2, 4)
+        if rng.random() < 0.5:
+            lo = rng.randint(0, n - 1)
+            host = levels_family(n, lo, min(n, lo + 1))
+        else:
+            host = random_family(n, rng, density=rng.choice([0.3, 0.6]))
+        for p in pats:
+            no_room = not p.is_antichain() and _no_room(host.members, p)
+            refused += no_room
+            for mode in ("weak", "strong"):
+                for thin in (False, True):
+                    slow = find_copy_naive(host, p, mode, thin) is None
+                    assert (find_copy(host, p, mode, thin) is None) == slow, (
+                        n, host.members, p, mode, thin)
+                    assert slow or not no_room
+    assert refused > 40
 
 
 def test_chain_copy_matches_backtracking():

@@ -2,7 +2,8 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import comb
+from itertools import permutations
+from math import comb, factorial
 
 import pytest
 
@@ -29,6 +30,7 @@ from rainbowramsey.search import (
     _cube,
     _interior_table,
     _max_block_len,
+    _prefix_is_orbit_min,
     _seed_three_point,
     _two_color_pareto_dp,
     fork_can_avoid,
@@ -49,6 +51,7 @@ C3 = poset_by_name("C3")
 C4 = standard_poset("chain", 4)
 V2 = poset_by_name("V2")
 A3 = poset_by_name("A3")
+A4 = poset_by_name("A4")
 A2 = poset_by_name("A2")
 L2 = poset_by_name("L2")
 
@@ -597,6 +600,98 @@ def test_anchored_rainbow_check_matches_unanchored():
         assert found > 20, kind
 
 
+def _literal_perm_positions(n):
+    """For each permutation of [n] in itertools order, position i of the
+    level order maps to the position of the permuted mask, by applying the
+    permutation element by element."""
+    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+    pos = {m: i for i, m in enumerate(masks)}
+    return [[pos[sum(1 << perm[a] for a in range(n) if m >> a & 1)] for m in masks]
+            for perm in permutations(range(n))]
+
+
+def _orbit_oracle(perm_positions, assign, t, rename):
+    """(minimal, ties): the length-t prefix against every permuted prefix,
+    colors renamed first-seen when rename is set; ties maps the index of
+    each permutation whose permuted prefix equals the prefix to its color
+    renaming (None without renaming)."""
+    prefix = list(assign[:t])
+    minimal, ties = True, {}
+    for k, where in enumerate(perm_positions):
+        permuted = [assign[where[i]] for i in range(t)]
+        names = None
+        if rename:
+            names = {}
+            permuted = [names.setdefault(c, len(names)) for c in permuted]
+        if permuted < prefix:
+            minimal = False
+        elif permuted == prefix:
+            ties[k] = names
+    return minimal, ties
+
+
+def _orbit_min_coloring(perm_positions, assign, rename):
+    """The least coloring in the orbit of assign."""
+    best = None
+    for where in perm_positions:
+        permuted = [assign[w] for w in where]
+        if rename:
+            names = {}
+            permuted = [names.setdefault(c, len(names)) for c in permuted]
+        if best is None or permuted < best:
+            best = permuted
+    return best
+
+
+def test_orbit_test_matches_literal_oracle():
+    # seeded random colorings, restricted-growth and free, n = 3..6; at
+    # every complete-level boundary the orbit test agrees with the oracle
+    # on the answer, on the tied permutations and on each one's renaming
+    rng = random.Random(1996)
+    rejected = deep = 0
+    for n in range(3, 7):
+        perm_positions = _literal_perm_positions(n)
+        size = 1 << n
+        ends = [sum(comb(n, l) for l in range(j + 1)) for j in range(n + 1)]
+        for rename in (True, False):
+            for trial in range(10):
+                k = rng.randint(2, 4)
+                if trial % 2:
+                    # colors by level with a few flips: large tied sets
+                    base = [rng.randrange(k) for _ in range(n + 1)]
+                    assign = [base[m.bit_count()] for m in
+                              sorted(range(size), key=lambda m: (m.bit_count(), m))]
+                    for _ in range(rng.randint(0, 3)):
+                        assign[rng.randrange(size)] = rng.randrange(k)
+                else:
+                    assign = [rng.randrange(k) for _ in range(size)]
+                if rename:
+                    names = {}
+                    assign = [names.setdefault(c, len(names)) for c in assign]
+                if trial % 3 == 2:
+                    # the least of its orbit: every prefix is minimal
+                    assign = _orbit_min_coloring(perm_positions, assign, rename)
+                tied = (0, [({} if rename else None, (1 << factorial(n)) - 1)])
+                for t in ends:
+                    ties = []
+                    got = _prefix_is_orbit_min(assign, t, tied, rename, ties)
+                    minimal, expect = _orbit_oracle(perm_positions, assign, t, rename)
+                    assert got == minimal, (n, rename, assign, t)
+                    if not got:
+                        rejected += 1
+                        break
+                    deep += t == size
+                    union = 0
+                    for cmap, bits in ties:
+                        assert bits and not bits & union
+                        union |= bits
+                        if bits != 1:  # a lone identity keeps the renaming it had
+                            assert all(expect[j] == cmap for j in _bits_of(bits))
+                    assert set(_bits_of(union)) == set(expect), (n, rename, assign, t)
+                    tied = (t, ties)
+    assert rejected > 20 and deep > 10
+
+
 def _digest(col):
     return hashlib.sha256(col.to_json().encode()).hexdigest()[:16]
 
@@ -624,8 +719,12 @@ def _digest(col):
      "6ea343e4c9b5f859"),
     (lambda sym: rainbow_ramsey(C2, V2, "strong", 4, symmetry=sym), 3, (15, 15),
      "33f981b1d4bcdcdb"),
+    # decided at n = 6, so the orbit test over S_6 runs to the end
+    (lambda sym: rainbow_ramsey(C2, A4, "strong", 6, symmetry=sym), 6, (42_633, 84_706),
+     "1c1873d08b5001a5"),
 ], ids=["R(C3,C3)", "RR(C2,A3) strong", "RR(C3,C3) weak", "R(C2,C4)", "R(C2,C2,C3)",
-        "R(C3,C4)", "RR(V2,A3) strong", "R(V2,L2)", "RR(A2,L2) strong", "RR(C2,V2) strong"])
+        "R(C3,C4)", "RR(V2,A3) strong", "R(V2,L2)", "RR(A2,L2) strong", "RR(C2,V2) strong",
+        "RR(C2,A4) strong"])
 def test_pinned_search_trees(run, value, nodes, witness):
     # the anchored checks prune exactly what the full copy searches did:
     # same node counts, values and witnesses, symmetry on and off
