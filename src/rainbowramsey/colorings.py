@@ -119,8 +119,11 @@ class Coloring:
     @staticmethod
     def from_json(text: str) -> "Coloring":
         obj = json.loads(text)
+        pairs = obj["colors"]
+        if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise ColoringError("COL JSON: colors must be a list of [mask, color] pairs")
         return Coloring(int(obj["n"]),
-                        [(int(m), int(c)) for m, c in obj["colors"]],
+                        [(int(m), int(c)) for m, c in pairs],
                         bool(obj["total"]))
 
     def to_text(self) -> str:
@@ -131,7 +134,7 @@ class Coloring:
     @staticmethod
     def from_text(text: str) -> "Coloring":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
+        head = lines[0].split() if lines else []
         if len(head) != 2 or not head[0].startswith("n=") or not head[1].startswith("total="):
             raise ColoringError("COL v1: header must be 'n=<n> total=<0|1>'")
         n = int(head[0][2:])

@@ -203,7 +203,7 @@ def crit_two_color_sizes() -> CriterionReport:
     rep.add(total == 3 ** 16, f"literal sweep covered {total} = 3^16 partial 2-colorings of B_4")
     rep.add(best + 1 == 4, f"literal sweep max-min+1 = {best + 1} agrees with the DP value 4")
     tf = threshold_F(4, 2, partial=True).value
-    rep.add(tf == 4, f"threshold brute F'(4,2) = {tf} agrees")
+    rep.add(tf == 4, f"threshold search F'(4,2) = {tf} agrees")
     return rep
 
 

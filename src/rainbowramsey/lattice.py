@@ -198,6 +198,8 @@ class Family:
     @staticmethod
     def from_json(text: str) -> "Family":
         obj = json.loads(text)
+        if not isinstance(obj["sets"], list):
+            raise LatticeError("FAM JSON: sets must be a list of masks")
         return Family.make(int(obj["n"]), (int(m) for m in obj["sets"]))
 
 

@@ -453,59 +453,61 @@ def _coloring_from_classes(n, class_masks, total=False):
     return Coloring(n, items, total=total)
 
 
-def _threshold2(n, partial):
-    """Exact F(n,2) / F'(n,2) by sweeping all 2^(2^n) first classes.
+def _threshold2(n, partial, counter):
+    """Exact F(n,2) / F'(n,2) by branch and bound over all 2-colorings.
 
-    No rainbow strong A_2 means the two classes are mutually comparable,
-    so for each class-1 choice the best class 2 is every remaining set
-    comparable to all of class 1 (supersets of smaller class-2 choices
-    only help: domination).  A class-1 choice h1 is split into its low
-    and high halves of the 2^n set bits; meets[x] holds the sets
-    comparable to every set in the half x, so the sets comparable to all
-    of h1 take one AND.  The first h1 in numeric order that strictly
-    beats the incumbent is kept.
+    No rainbow strong A_2 means every set of one class is comparable to
+    every set of the other.  blocked[c] is the OR of the sets incomparable
+    to the other class's sets, so a set may join class c exactly when its
+    bit is not in blocked[c] (forward checking).  The same bitset bounds
+    the search: class c can grow only by the remaining sets outside
+    blocked[c].  Sets are placed in mask order, colors in restricted
+    growth, the uncolored option last.  Returns (max-min, witness,
+    stopped) as _threshold3 does.
     """
     size = 1 << n
     everything = (1 << size) - 1
-    comp = [everything ^ row for row in _cube(n).inc]
-    lo_w = size // 2
-
-    def meets(rows):
-        table = [everything]
-        for row in rows:
-            table += [m & row for m in table]
-        return table
-
-    meets_lo = meets(comp[:lo_w])
-    meets_hi = meets(comp[lo_w:])
-    lo_count = [lo.bit_count() for lo in range(1 << lo_w)]
-    # the low half's class-2 candidates, less the low half itself
-    lo_free = [m & ~lo for lo, m in enumerate(meets_lo)]
+    inc = _cube(n).inc
+    cls = [0, 0]
+    blocked = [0, 0]
     best = -1
-    best_pair = (0, 0)
-    for hi, hm in enumerate(meets_hi):
-        hh = hi << lo_w
-        hc = hi.bit_count()
+    best_cls = None
+
+    def place(t, used):
+        nonlocal best, best_cls
+        counter.tick()
+        if t == size:
+            v = min(cls[0].bit_count(), cls[1].bit_count())
+            if v > best:
+                best = v
+                best_cls = cls[:]
+            return
+        rest = everything >> t << t
+        if any(c.bit_count() + (rest & ~b).bit_count() <= best for c, b in zip(cls, blocked)):
+            return
+        bit = 1 << t
+        for c in range(min(2, used + 1)):
+            if blocked[c] & bit:
+                continue
+            kept = blocked[1 - c]
+            cls[c] |= bit
+            blocked[1 - c] |= inc[t]
+            place(t + 1, max(used, c + 1))
+            blocked[1 - c] = kept
+            cls[c] ^= bit
         if partial:
-            free = hm & ~hh
-            if min(hc + lo_w, free.bit_count()) <= best:
-                continue
-            row = [min(hc + c, (m & free).bit_count()) for m, c in zip(lo_free, lo_count)]
-        else:
-            if min(hc + lo_w, size - hc) <= best:
-                continue
-            # class 2 is the rest of B_n, which must be comparable to h1
-            row = [min(hc + c, size - hc - c) if (m & hm) | lo | hh == everything else -1
-                   for lo, (m, c) in enumerate(zip(meets_lo, lo_count))]
-        v = max(row)
-        if v > best:
-            lo = row.index(v)
-            best = v
-            best_pair = (hh | lo, lo_free[lo] & free if partial else everything & ~(hh | lo))
-    witness = _coloring_from_classes(
-        n, [list(_bits_of(best_pair[0])), list(_bits_of(best_pair[1]))],
-        total=not partial)
-    return best, witness
+            place(t + 1, used)
+
+    try:
+        place(0, 0)
+        stopped = False
+    except BudgetExceeded:
+        stopped = True
+    witness = None
+    if best_cls is not None:
+        witness = _coloring_from_classes(n, [list(_bits_of(b)) for b in best_cls],
+                                         total=not partial)
+    return best, witness, stopped
 
 
 def _threshold3(n, partial, counter):
@@ -585,25 +587,20 @@ def threshold_F(n: int, k: int, partial: bool,
     if n < 0:
         raise SearchError(f"threshold_F needs n >= 0, got {n}")
     counter = _Counter(budget)   # refuses a negative budget for every k
+    if k not in (2, 3):
+        raise SearchError("threshold_F supports k in {2, 3}")
+    if n > 4:
+        hint = "; use two_color_partial_exact" if k == 2 else ""
+        raise SearchError(f"threshold_F with k={k} is capped at n=4{hint}")
     name = f"F'({n},{k})" if partial else f"F({n},{k})"
-    if k == 2:
-        if n > 4:
-            raise SearchError("threshold_F with k=2 is capped at n=4; use two_color_partial_exact")
-        v, witness = _threshold2(n, partial)
-        return SearchResult(name, v + 1, "brute", witness, (n, n),
-                            details={"max_min": v})
-    if k == 3:
-        if n > 4:
-            raise SearchError("threshold_F with k=3 is capped at n=4")
-        v, witness, stopped = _threshold3(n, partial, counter)
-        details = {"max_min": v, "nodes": counter.nodes}
-        if stopped:
-            value = None if witness is None else f">{v}"
-            return SearchResult(name, value, "branch-bound", witness, (n, n - 1),
-                                budget_exhausted=True, details=details)
-        return SearchResult(name, v + 1, "branch-bound", witness, (n, n),
-                            details=details)
-    raise SearchError("threshold_F supports k in {2, 3}")
+    search = _threshold2 if k == 2 else _threshold3
+    v, witness, stopped = search(n, partial, counter)
+    details = {"max_min": v, "nodes": counter.nodes}
+    if stopped:
+        value = None if witness is None else f">{v}"
+        return SearchResult(name, value, "branch-bound", witness, (n, n - 1),
+                            budget_exhausted=True, details=details)
+    return SearchResult(name, v + 1, "branch-bound", witness, (n, n), details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +694,10 @@ def _two_color_pareto_dp(n, pts, blk, seed_best):
 
     best = seed_best
     start = (pts[0], zero)
-    fronts = {0: {start: None}}
-    parents = {(0, start): None}
+    # fronts[l] maps each stored pair at the level-l point to its parent link
+    fronts = [{start: None}] + [{} for _ in range(n)]
     for lvl in range(n):
-        front = fronts.pop(lvl, None)
+        front = fronts[lvl]
         if not front:
             continue
         kept = []
@@ -728,29 +725,27 @@ def _two_color_pareto_dp(n, pts, blk, seed_best):
                     break
                 w = row[nxt]
                 pw = pts[nxt]
-                tgt = fronts.setdefault(nxt, {})
+                tgt = fronts[nxt]
                 for blk_to in ((0, 1) if w else (None,)):
                     for pt_to in (0, 1):
                         na = a + (w if blk_to == 0 else zero) + (pw if pt_to == 0 else zero)
                         nb = b + (w if blk_to == 1 else zero) + (pw if pt_to == 1 else zero)
                         ch = (na, nb)
                         if ch not in tgt:
-                            tgt[ch] = None
-                            parents[(nxt, ch)] = (lvl, pair, blk_to, pt_to)
+                            tgt[ch] = (lvl, pair, blk_to, pt_to)
                         if nxt == n and min(ch) > best:
                             best = min(ch)
     arg = None
-    for pair in fronts.get(n, {}):
+    for pair in fronts[n]:
         if min(pair) == best and (arg is None or pair < arg):
             arg = pair
     config = None
     if arg is not None:
         steps = []
-        cur = (n, arg)
-        while parents[cur] is not None:
-            lvl, pair, blk_to, pt_to = parents[cur]
-            steps.append((cur[0], blk_to, pt_to))
-            cur = (lvl, pair)
+        lvl, pair = n, arg
+        while (link := fronts[lvl][pair]) is not None:
+            steps.append((lvl,) + link[2:])   # (level, block owner, point owner)
+            lvl, pair = link[:2]
         steps.reverse()
         config = [(0, None, 0)] + steps  # (level, open-block owner, point owner)
     return best, config

@@ -202,11 +202,35 @@ def test_search_flags_only_where_read(capsys):
     assert main(["threshold", "--n", "3", "--k", "2", "--n-cap", "99", "--budget", "1"]) == 1
     assert main(["two-color", "--n", "4", "--budget", "1"]) == 1
     assert main(["lubell", "--subcube", "4", "1", "1", "--n-cap", "2"]) == 1
-    code, out = run_cli(capsys, "threshold", "--n", "3", "--k", "2", "--budget", "1")
-    assert code == 0 and json.loads(out)["result"]["value"] == 3
+    # k = 2 reads the budget as k = 3 does: F(3,2) takes 20 nodes
+    for budget in ("0", "1"):
+        code, out = run_cli(capsys, "threshold", "--n", "3", "--k", "2", "--budget", budget)
+        result = json.loads(out)["result"]
+        assert code == 2 and result["budget_exhausted"], budget
+        assert result["checked"] == {"n_min": 3, "n_max": 2}, budget
+    code, out = run_cli(capsys, "threshold", "--n", "3", "--k", "2", "--budget", "20")
+    result = json.loads(out)["result"]
+    assert code == 0 and (result["value"], result["nodes"]) == (3, 20)
     code, out = run_cli(capsys, "fork", "--which", "f", "--r", "2", "--k", "1",
                         "--n-cap", "3", "--budget", "1000")
     assert code == 0
+
+
+def test_malformed_input_files_are_errors(tmp_path, capsys):
+    # empty or blank text and JSON whose colors / sets are not lists end in
+    # an error line, not a traceback
+    path = tmp_path / "in.txt"
+    cases = [("coloring", ""), ("coloring", "  \n\n"), ("coloring", '{"n": 2, "colors": 5}'),
+             ("coloring", '{"n": 2, "colors": [5], "total": false}'),
+             ("family", '{"n": 2, "sets": 5}'), ("family", "")]
+    for kind, text in cases:
+        path.write_text(text)
+        if kind == "coloring":
+            argv = ["coloring", "check", "--coloring", str(path), "--p", "C2", "--q", "A2"]
+        else:
+            argv = ["lubell", "--family", str(path)]
+        assert main(argv) == 1, (kind, text)
+        assert capsys.readouterr().err.startswith("error:"), (kind, text)
 
 
 def test_fork_g_refuses_search_flags(capsys):

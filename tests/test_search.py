@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
@@ -744,18 +744,47 @@ def test_pinned_threshold3_trees(partial, nodes, witness):
 
 
 @pytest.mark.parametrize("partial, pins", [
-    (False, [(1, "f8e386787746dc92"), (2, "4c268e66230b6949"), (3, "aec2227f7086bce9"),
-             (3, "98bf73c458c7f452"), (3, "87b9c28be06f2a52")]),
-    (True, [(1, "141c8079ac576404"), (2, "4eabff8bd1ab2b41"), (3, "2f3f1bef2506c8d7"),
-            (3, "5d03908bb9dd518f"), (4, "4aba158a22544661")]),
+    (False, [(1, 2, "f8e386787746dc92"), (2, 4, "4c268e66230b6949"), (3, 10, "aec2227f7086bce9"),
+             (3, 20, "98bf73c458c7f452"), (3, 38, "87b9c28be06f2a52")]),
+    (True, [(1, 3, "141c8079ac576404"), (2, 6, "4eabff8bd1ab2b41"), (3, 18, "2f3f1bef2506c8d7"),
+            (3, 137, "0f7165841428ccd4"), (4, 1031, "d4432b4b71b1d379")]),
 ], ids=["F(n,2)", "F'(n,2)"])
 def test_pinned_threshold2_witnesses(partial, pins):
-    # the sweep keeps the first class-1 set, in numeric order, that
-    # strictly beats the incumbent, so the witness is pinned too
-    for n, (value, witness) in enumerate(pins):
+    # the branch and bound keeps the first coloring, in its search order,
+    # that strictly beats the incumbent, so the witness and tree are pinned
+    for n, (value, nodes, witness) in enumerate(pins):
         res = threshold_F(n, 2, partial)
         assert (res.value, res.details, _digest(res.witness)) == (
-            value, {"max_min": value - 1}, witness), n
+            value, {"max_min": value - 1, "nodes": nodes}, witness), n
+
+
+def _literal_threshold2(n, partial):
+    """The largest smaller-class size over all 2-colorings of B_n with no
+    incomparable pair in two colors; when partial, a set may also stay
+    uncolored (None)."""
+    sets = range(1 << n)
+    rainbow_pairs = [(a, b) for a in sets for b in sets if a & b not in (a, b)]
+    best = -1
+    for colors in product((0, 1, None) if partial else (0, 1), repeat=1 << n):
+        if any(colors[a] is not None and colors[b] is not None and colors[a] != colors[b]
+               for a, b in rainbow_pairs):
+            continue
+        best = max(best, min(colors.count(0), colors.count(1)))
+    return best
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["F(n,2)", "F'(n,2)"])
+def test_threshold2_matches_literal_sweep(partial):
+    # all 2^(2^n) total and 3^(2^n) partial colorings for n <= 3
+    for n in range(4):
+        res = threshold_F(n, 2, partial)
+        m = _literal_threshold2(n, partial)
+        assert res.details["max_min"] == m and res.value == m + 1, n
+        w = res.witness
+        assert w.ground == n and w.total == (not partial)
+        assert find_pattern(w, A2, "strong", "rainbow") is None, n
+        sizes = w.class_sizes()
+        assert len(sizes) <= 2 and min(sizes + [0] * (2 - len(sizes))) == m, n
 
 
 @pytest.mark.parametrize("run", [
@@ -784,4 +813,22 @@ def test_threshold3_budget_stop_keeps_incumbent():
     assert obj["value"] == f">{m}" and obj["nodes"] == 60_001
     # a budget too small to reach a full coloring has no incumbent
     res = threshold_F(4, 3, partial=True, budget=5)
+    assert res.value is None and res.witness is None and res.checked == (4, 3)
+
+
+def test_threshold2_budget_stop_keeps_incumbent():
+    # F'(4,2) takes 1,031 nodes; 50 stop it after a first incumbent
+    res = threshold_F(4, 2, partial=True, budget=50)
+    assert res.budget_exhausted
+    assert res.checked == (4, 3)  # nothing decided at n = 4
+    m = res.details["max_min"]
+    assert res.value == f">{m}" and res.details["nodes"] == 51
+    w = res.witness
+    assert w is not None and w.ground == 4 and not w.total
+    assert min(w.class_sizes()) == m and w.num_colors == 2
+    assert validate_witness(w, standard_poset("chain", 6), A2, "weak", "strong").avoided
+    obj = res.to_jsonable()
+    assert obj["value"] == f">{m}" and obj["nodes"] == 51
+    # a budget too small to reach a full coloring has no incumbent
+    res = threshold_F(4, 2, partial=True, budget=5)
     assert res.value is None and res.witness is None and res.checked == (4, 3)
