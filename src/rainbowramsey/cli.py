@@ -75,8 +75,9 @@ def _read_coloring(path: str) -> Coloring:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = json.loads(text)
-        if "result" in obj and "coloring" in obj.get("result", {}):
-            return Coloring.from_json(json.dumps(obj["result"]["coloring"]))
+        result = obj.get("result") if isinstance(obj, dict) else None
+        if isinstance(result, dict) and "coloring" in result:
+            return Coloring.from_json(json.dumps(result["coloring"]))
         return Coloring.from_json(text)
     return Coloring.from_text(text)
 

@@ -119,12 +119,17 @@ class Coloring:
     @staticmethod
     def from_json(text: str) -> "Coloring":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ColoringError("COL JSON: not an object")
         pairs = obj["colors"]
         if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
             raise ColoringError("COL JSON: colors must be a list of [mask, color] pairs")
-        return Coloring(int(obj["n"]),
-                        [(int(m), int(c)) for m, c in pairs],
-                        bool(obj["total"]))
+        try:
+            n = int(obj["n"])
+            items = [(int(m), int(c)) for m, c in pairs]
+        except TypeError:
+            raise ColoringError("COL JSON: n, masks and colors must be integers") from None
+        return Coloring(n, items, bool(obj["total"]))
 
     def to_text(self) -> str:
         lines = [f"n={self.ground} total={1 if self.total else 0}"]

@@ -200,7 +200,12 @@ class Family:
         obj = json.loads(text)
         if not isinstance(obj["sets"], list):
             raise LatticeError("FAM JSON: sets must be a list of masks")
-        return Family.make(int(obj["n"]), (int(m) for m in obj["sets"]))
+        try:
+            n = int(obj["n"])
+            sets = [int(m) for m in obj["sets"]]
+        except TypeError:
+            raise LatticeError("FAM JSON: n and the sets must be integers") from None
+        return Family.make(n, sets)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate, permutations, repeat
 from math import factorial, lcm
-from operator import and_
+from operator import and_, xor
 from typing import NamedTuple
 
 from .lattice import all_masks, canonical_key, full_mask, order_rows
@@ -174,20 +174,23 @@ _PERM_MAPS = {}
 
 
 def _perm_position_maps(n):
-    """For each position t of the canonical order, the sets of permutations
-    sending masks[t] to each mask of its level: rows[t][j] holds the
-    permutations sigma of the ground set with sigma(masks[t]) = masks[lo + j],
-    lo the level's first position.  A set of permutations is a bitset whose
-    bit k is the k-th of itertools.permutations(range(n)), so bit 0 is the
-    identity; the sets of one row partition all n! permutations.
+    """For each position p of the canonical order, the sets of permutations
+    sending each set of p's level to masks[p]: cols[p][k] holds the
+    permutations sigma of the ground set with sigma(masks[lo + k]) =
+    masks[p], lo the level's first position.  A set of permutations is a
+    bitset whose bit k is the k-th of itertools.permutations(range(n)), so
+    bit 0 is the identity.  For a fixed k the sets cols[p][k] over the p of
+    one level partition all n! permutations, so the permutations reading a
+    color at position lo + k are the XOR of cols[p][k] over the sets p of
+    that color.
 
     Built from the n^2 element sets "sigma(a) = b": sigma(A) = B exactly
     when every a in A goes into B, an AND over a in A of an OR over b in B.
     Tables for n <= 6 are kept, and at most one larger one (n = 8's holds
     12,870 sets of 40,320 bits, about 63 MiB).
     """
-    rows = _PERM_MAPS.get(n)
-    if rows is None:
+    cols = _PERM_MAPS.get(n)
+    if cols is None:
         perms = list(permutations(range(n)))
         everyone = (1 << len(perms)) - 1
         # sends[a][b]: the permutations with sigma(a) = b, read from a
@@ -198,39 +201,82 @@ def _perm_position_maps(n):
             images = bytes(perm[a] for perm in reversed(perms))
             sends.append([int(images.translate(d), 2) for d in digits])
         masks, ends = _cube(n)[:2]
-        rows = []
+        cols = []
         lo = 0
         for hi in sorted(ends):
             level = masks[lo:hi]
-            # into[j][a]: the permutations sending a into level[j] (an OR over
-            # b in level[j]; the sets sends[a][b] are disjoint, so a sum)
-            into = [[sum(sends[a][b] for b in _bits_of(m)) for a in range(n)] for m in level]
+            elements = [list(_bits_of(m)) for m in level]
             for m in level:
-                elements = list(_bits_of(m))
-                rows.append(tuple(reduce(and_, map(sets.__getitem__, elements), everyone)
-                                  for sets in into))
+                # into[a]: the permutations sending a into m (an OR over b
+                # in m; the sets sends[a][b] are disjoint, so a sum)
+                into = [sum(sends[a][b] for b in _bits_of(m)) for a in range(n)]
+                cols.append(tuple(reduce(and_, map(into.__getitem__, e), everyone)
+                                  for e in elements))
             lo = hi
         if n > 6:
             for m in [m for m in _PERM_MAPS if m > 6]:
                 del _PERM_MAPS[m]
-        _PERM_MAPS[n] = rows
-    return rows
+        _PERM_MAPS[n] = cols
+    return cols
 
 
-def _prefix_is_orbit_min(assign, t, tied, rename, ties_out):
+class _Reading:
+    """The reading sets of the orbit test for one level lo..hi-1 of a
+    search (see _prefix_is_orbit_min): sets[c][k] holds the permutations
+    sending masks[lo + k] to a set colored c, for each color c of the
+    level but its first (the first color's sets are what the others
+    leave) and each k below known.  The search flips a set's column in
+    when it colors the set and out when it uncolors it, over the known
+    positions only; the orbit test makes a position known when it first
+    reaches it, so a level whose tests stop early keeps few."""
+
+    __slots__ = ("cols", "lo", "sets", "known")
+
+    def __init__(self, cols, lo):
+        self.cols = cols   # _perm_position_maps(n)
+        self.lo = lo
+        self.sets = {}
+        self.known = 0
+
+    def flip(self, p, c):
+        """Put color c on the set at position p, or take it off."""
+        old = self.sets.get(c)
+        self.sets[c] = list(map(xor, old, self.cols[p])) if old else list(self.cols[p][:self.known])
+
+    def reach(self, assign):
+        """Make the next position known, from the coloring assign of the
+        whole level."""
+        k = self.known
+        first = assign[self.lo]
+        for row in self.sets.values():
+            row.append(0)
+        for p in range(self.lo, self.lo + len(self.cols[self.lo])):
+            if assign[p] != first:
+                self.sets[assign[p]][k] |= self.cols[p][k]
+        self.known = k + 1
+
+
+def _prefix_is_orbit_min(assign, t, tied, reading, ties_out):
     """True iff the length-t prefix is lexicographically minimal in its
-    permutation orbit (colors renamed first-seen when rename is set, in
-    which case assign is restricted-growth and so its own renaming).
+    permutation orbit (colors renamed first-seen when the classes carry a
+    renaming, in which case assign is restricted-growth and so its own
+    renaming).
 
     tied = (s, classes) holds, for the level end s before t (so positions
     s..t-1 are one level), the permutations whose permuted prefix equals
     the prefix through s; every other permutation is larger before s and
     stays larger.  A class is a pair (cmap, bits): a bitset of such
     permutations that share one color renaming cmap (None when colors are
-    not renamed).  At each position i from s on, the row of i splits the
-    permutations by the color they read there, the color of the set they
-    send masks[i] to.  A permutation reading a label below the prefix's
-    is smaller, so the prefix is not minimal; one reading an equal label
+    not renamed).  reading is the level's _Reading: for each color c of
+    the level but assign[s], the permutations reading c at position s + k,
+    the ones sending masks[s + k] to a set colored c, for the positions
+    it knows, which the test extends as it goes (a color no longer on the
+    level may map to empty sets); assign[s]'s color is read by all the
+    others.  reading is None when the tied set is the identity alone.
+
+    At each position i from s on the permutations split by the color
+    they read.  A permutation reading a label below the prefix's is
+    smaller, so the prefix is not minimal; one reading an equal label
     stays tied, a color new to cmap taking the next label and starting a
     new class (never a label below the prefix's: the tied permutations
     have seen every color of the prefix, so their next label is the
@@ -242,25 +288,36 @@ def _prefix_is_orbit_min(assign, t, tied, rename, ties_out):
     if len(classes) == 1 and classes[0][1] == 1:
         ties_out.append(classes[0])
         return True
-    rows = _perm_position_maps(len(assign).bit_length() - 1)
     level = assign[s:t]
-    colors = sorted(set(level))
-    for i in range(s, t):
-        reading = [0] * (colors[-1] + 1)   # color -> the permutations reading it
-        for c, bits in zip(level, rows[i]):
-            reading[c] |= bits
-        b = assign[i]
+    first = level[0]
+    others = [(c, reading.sets[c]) for c in sorted(set(level)) if c != first]
+    for k, b in enumerate(level):
+        if k == reading.known:
+            reading.reach(assign)
         kept = []
         for cmap, live in classes:
-            for c in colors:
-                both = reading[c] & live
-                if not both:
-                    continue
-                label = c if cmap is None else cmap.get(c, len(cmap))
+            # hits: the permutations of the class reading label b, by color
+            # in color order; those reading the first color are the rest
+            rest = live
+            hits = []
+            for c, sets in others:
+                both = sets[k] & live
+                if both:
+                    rest ^= both
+                    label = c if cmap is None else cmap.get(c, len(cmap))
+                    if label < b:
+                        return False
+                    if label == b:
+                        hits.append((c, both))
+            if rest:
+                label = first if cmap is None else cmap.get(first, len(cmap))
                 if label < b:
                     return False
                 if label == b:
-                    kept.append((cmap if cmap is None or c in cmap else {**cmap, c: b}, both))
+                    hits.append((first, rest))
+                    hits.sort()
+            for c, both in hits:
+                kept.append((cmap if cmap is None or c in cmap else {**cmap, c: b}, both))
         classes = kept
     ties_out.extend(classes)
     return True
@@ -297,6 +354,12 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
     holds no forbidden copy, so only copies through the newest set are
     looked for.  The search runs on an explicit stack: position t of the
     canonical order is depth t.
+
+    With symmetry, each level keeps the reading sets of the orbit test
+    (a _Reading) current as its sets are colored: coloring a set with a
+    color other than the level's first XORs the set's column of
+    _perm_position_maps into that color's sets, and undoing the color
+    XORs it out.  A level whose tied set is the identity alone keeps none.
     """
     masks, ends, below, _, inc = _cube(n)
     total = len(masks)
@@ -305,10 +368,17 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
     classes = [_MonoClass(p, mode, below) for p in patterns]
     assign = [0] * total
     used = [-1] * (total + 1)     # the highest color used before position t
-    tied = [None] * (total + 1)   # orbit-test ties handed to position t
+    starts = sorted(ends)
+    level_start = [lo for lo, hi in zip([0] + starts, starts) for _ in range(lo, hi)]
+    # by a level's first position s: the orbit-test ties handed to the
+    # level, (s, classes), and its reading sets, None where none are kept
+    tied = [None] * total
+    reading = [None] * total
     if use_sym:
         # every permutation ties on the empty prefix, under no renaming yet
         tied[0] = (0, [({} if rename else None, (1 << factorial(n)) - 1)])
+        cols = _perm_position_maps(n)
+        reading[0] = _Reading(cols, 0)
 
     if q is not None:
         q_size = q.size
@@ -352,8 +422,10 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
             c = 0
             if use_sym and t in ends:
                 ties = []
-                if _prefix_is_orbit_min(assign, t, tied[t], rename, ties):
+                s = level_start[t - 1]
+                if _prefix_is_orbit_min(assign, t, tied[s], reading[s], ties):
                     tied[t] = (t, ties)
+                    reading[t] = None if len(ties) == 1 and ties[0][1] == 1 else _Reading(cols, t)
                 else:
                     c = limit
         top = min(limit - 1, used[t] + 1) if rename else limit - 1
@@ -368,7 +440,10 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
         if c <= top:
             assign[t] = c
             used[t + 1] = max(used[t], c)
-            tied[t + 1] = tied[t]
+            s = level_start[t]
+            sets = reading[s]
+            if sets is not None and c != assign[s]:
+                sets.flip(t, c)
             t += 1
             c = None
             continue
@@ -377,14 +452,21 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
         t -= 1
         c = assign[t]
         classes[c].remove(masks[t])
+        s = level_start[t]
+        sets = reading[s]
+        if sets is not None and c != assign[s]:
+            sets.flip(t, c)
         c += 1
 
 
 # The largest n ramsey and rainbow_ramsey search: their per-n tables grow
 # with n! and 4^n (_perm_position_maps(8) holds 12,870 sets of 40,320
-# permutations, about 63 MiB; n = 9's would hold 48,620 sets of 362,880,
-# about 2.1 GiB), so a search still undecided at this n is refused before
-# the next n's tables are built.
+# permutations, one tuple over its level per set of B_8, about 63 MiB;
+# n = 9's would hold 48,620 sets of 362,880, about 2.1 GiB), so a search
+# still undecided at this n is refused before the next n's tables are
+# built.  The reading sets a search keeps on top hold, for each color of
+# a level but its first, at most one set per position: at n = 8, 256 sets
+# of 40,320 bits, about 1.2 MiB, per color.
 _N_CAP_MAX = 8
 
 

@@ -217,12 +217,17 @@ def test_search_flags_only_where_read(capsys):
 
 
 def test_malformed_input_files_are_errors(tmp_path, capsys):
-    # empty or blank text and JSON whose colors / sets are not lists end in
-    # an error line, not a traceback
+    # empty or blank text, JSON whose colors / sets are not lists, whose n
+    # is not a number or that is not an object, and a result that is not
+    # an object end in an error line, not a traceback
     path = tmp_path / "in.txt"
     cases = [("coloring", ""), ("coloring", "  \n\n"), ("coloring", '{"n": 2, "colors": 5}'),
              ("coloring", '{"n": 2, "colors": [5], "total": false}'),
-             ("family", '{"n": 2, "sets": 5}'), ("family", "")]
+             ("coloring", '{"n": null, "colors": [[0, 0]], "total": false}'),
+             ("coloring", '{"n": 2, "colors": [[null, 0]], "total": false}'),
+             ("coloring", '{"result": 5}'), ("coloring", '{"result": {"coloring": 5}}'),
+             ("family", '{"n": 2, "sets": 5}'), ("family", ""),
+             ("family", '{"n": null, "sets": [1]}')]
     for kind, text in cases:
         path.write_text(text)
         if kind == "coloring":

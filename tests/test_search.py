@@ -30,6 +30,7 @@ from rainbowramsey.search import (
     _cube,
     _interior_table,
     _max_block_len,
+    _Reading,
     _prefix_is_orbit_min,
     _seed_three_point,
     _two_color_pareto_dp,
@@ -610,6 +611,40 @@ def _literal_perm_positions(n):
             for perm in permutations(range(n))]
 
 
+def _literal_sends(perm_positions):
+    """sends[i][p]: the permutations, as a bitset in itertools order,
+    taking the i-th mask of the level order to the p-th."""
+    size = len(perm_positions[0])
+    sends = [[0] * size for _ in range(size)]
+    for k, where in enumerate(perm_positions):
+        for i, p in enumerate(where):
+            sends[i][p] |= 1 << k
+    return sends
+
+
+def _literal_reading(sends, assign, s, t):
+    """The reading sets of the orbit test for the level s..t-1: each color
+    of the level other than assign[s] maps to the list over the level's
+    positions i of the permutations taking masks[i] to a set of that
+    color."""
+    reading = {}
+    for p in range(s, t):
+        if assign[p] != assign[s]:
+            sets = reading.setdefault(assign[p], [0] * (t - s))
+            for k in range(t - s):
+                sets[k] |= sends[s + k][p]
+    return reading
+
+
+def _known_reading(sends, assign, s, t):
+    """A _Reading of the level s..t-1 that knows all its positions, its
+    sets from _literal_reading."""
+    reading = _Reading(None, s)
+    reading.sets = _literal_reading(sends, assign, s, t)
+    reading.known = t - s
+    return reading
+
+
 def _orbit_oracle(perm_positions, assign, t, rename):
     """(minimal, ties): the length-t prefix against every permuted prefix,
     colors renamed first-seen when rename is set; ties maps the index of
@@ -651,6 +686,7 @@ def test_orbit_test_matches_literal_oracle():
     rejected = deep = 0
     for n in range(3, 7):
         perm_positions = _literal_perm_positions(n)
+        sends = _literal_sends(perm_positions)
         size = 1 << n
         ends = [sum(comb(n, l) for l in range(j + 1)) for j in range(n + 1)]
         for rename in (True, False):
@@ -674,7 +710,8 @@ def test_orbit_test_matches_literal_oracle():
                 tied = (0, [({} if rename else None, (1 << factorial(n)) - 1)])
                 for t in ends:
                     ties = []
-                    got = _prefix_is_orbit_min(assign, t, tied, rename, ties)
+                    reading = _known_reading(sends, assign, tied[0], t)
+                    got = _prefix_is_orbit_min(assign, t, tied, reading, ties)
                     minimal, expect = _orbit_oracle(perm_positions, assign, t, rename)
                     assert got == minimal, (n, rename, assign, t)
                     if not got:
@@ -690,6 +727,76 @@ def test_orbit_test_matches_literal_oracle():
                     assert set(_bits_of(union)) == set(expect), (n, rename, assign, t)
                     tied = (t, ties)
     assert rejected > 20 and deep > 10
+
+
+def test_orbit_reading_sets_match_recomputed(monkeypatch):
+    # at every orbit test the reading sets _avoiding kept current through
+    # colorings and backtracks equal ones recomputed from the coloring, on
+    # the positions known before the test and on those it made known: each
+    # color of the level but the first maps to its sets, any other color
+    # to empty ones, and none are kept where the identity alone is tied;
+    # n = 4 to 6, colors renamed (identical patterns) and not
+    from rainbowramsey import search
+    sends = {n: _literal_sends(_literal_perm_positions(n)) for n in range(4, 7)}
+    seen = dict.fromkeys(["calls", "kept", "stale", "rejected", "reached"], 0)
+    inner = search._prefix_is_orbit_min
+
+    def same(reading, assign, s, t):
+        expect = _literal_reading(sends[len(assign).bit_length() - 1], assign, s, t)
+        expect = {c: sets[:reading.known] for c, sets in expect.items() if reading.known}
+        got = {c: sets for c, sets in reading.sets.items() if any(sets)}
+        assert got == expect, (assign, t, reading.known)
+        return len(reading.sets) - len(got)
+
+    def checked(assign, t, tied, reading, ties_out):
+        seen["calls"] += 1
+        s, classes = tied
+        if reading is None:
+            assert len(classes) == 1 and classes[0][1] == 1
+            return inner(assign, t, tied, reading, ties_out)
+        seen["kept"] += 1
+        seen["stale"] += same(reading, assign, s, t)
+        known = reading.known
+        minimal = inner(assign, t, tied, reading, ties_out)
+        seen["reached"] += reading.known - known
+        same(reading, assign, s, t)
+        seen["rejected"] += not minimal
+        return minimal
+
+    monkeypatch.setattr(search, "_prefix_is_orbit_min", checked)
+    for run in (lambda: ramsey([C3, C4], "weak", 5),
+                lambda: ramsey([C4, standard_poset("chain", 5)], "weak", 6, budget=1500),
+                lambda: ramsey([C3, C3, C3], "weak", 6, budget=800),
+                lambda: rainbow_ramsey(C2, A3, "strong", 5),
+                lambda: rainbow_ramsey(V2, A3, "strong", 5),
+                lambda: rainbow_ramsey(C2, A4, "strong", 6, budget=3000),
+                # colorful levels: the identity alone ties
+                lambda: rainbow_ramsey(C2, standard_poset("chain", 5), "weak", 5, budget=3000)):
+        run()
+    assert seen["kept"] > 1000 and seen["rejected"] > 500 and seen["reached"] > 100
+    # some levels kept no sets, and some colors left a level on a backtrack
+    assert seen["calls"] > seen["kept"] and seen["stale"] > 0
+
+
+def test_pinned_orbit_tree_on_s8(monkeypatch):
+    # the orbit test over S_8 (40,320 permutations): a budgeted R(C3,C3,C3,C3)
+    # stops in n = 8 with the same tree, witness and orbit-test outcomes
+    from rainbowramsey import search
+    calls = []
+    inner = search._prefix_is_orbit_min
+
+    def counted(*args):
+        calls.append(inner(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(search, "_prefix_is_orbit_min", counted)
+    try:
+        res = ramsey([C3] * 4, "weak", 8, budget=1000)
+    finally:
+        search._PERM_MAPS.pop(8, None)   # about 63 MiB
+    assert (res.value, res.details["nodes"], res.checked) == (">7", 1001, (0, 7))
+    assert _digest(res.witness) == "f1f93e68ff016117"
+    assert (len(calls), calls.count(False)) == (96, 42)
 
 
 def _digest(col):
