@@ -173,11 +173,11 @@ def _rainbow_strong_antichain(classes, inc_row, k):
     ncolors = len(class_bits)
     chosen = []
 
+    # skips_left == ncolors - k - (pos - len(chosen)) >= 0 at every call,
+    # so enough classes remain while a choice is still needed
     def rec(pos, allowed, skips_left):
         if len(chosen) == k:
             return True
-        if ncolors - pos < k - len(chosen):
-            return False
         cand = allowed & class_bits[pos]
         if cand and len(chosen) == k - 1:
             chosen.append((cand & -cand).bit_length() - 1)
@@ -206,6 +206,8 @@ def find_pattern(col: Coloring, pattern: PosetPattern, mode: str = "weak",
     Returns (Embedding, color) for mono, (Embedding, colors tuple) for
     rainbow, or None.  Deterministic first witness in canonical order.
     """
+    if mode not in ("weak", "strong"):
+        raise ColoringError(f"mode must be weak or strong, got {mode!r}")
     if chromatic == "mono":
         for c in range(col.num_colors):
             emb = find_copy(col.class_family(c), pattern, mode)

@@ -499,10 +499,18 @@ def _least_n(problem, method, n_cap, budget, avoiding):
                         details={"nodes": counter.nodes})
 
 
+def _check_mode(mode):
+    if mode not in ("weak", "strong"):
+        raise SearchError(f"mode must be weak or strong, got {mode!r}")
+
+
 def ramsey(patterns, mode: str = "weak", n_cap: int = 4,
            budget: int | None = 2_000_000, symmetry: bool = True) -> SearchResult:
     """Least n <= n_cap such that every k-coloring of B_n yields a
-    monochromatic copy of P_i in some color class i."""
+    monochromatic copy of P_i in some color class i (k >= 1)."""
+    _check_mode(mode)
+    if not patterns:
+        raise SearchError("ramsey needs at least one pattern")
     names = ",".join(f"P{i}" for i in range(len(patterns)))
     identical = all(p == patterns[0] for p in patterns)
     return _least_n(f"R({names}) {mode}", "brute", n_cap, budget,
@@ -519,6 +527,7 @@ def rainbow_ramsey(p: PosetPattern, q: PosetPattern, mode: str = "weak",
     Colorings are enumerated as set partitions (restricted growth) with
     early pruning: a partial coloring already containing either pattern
     can never avoid."""
+    _check_mode(mode)
     return _least_n(f"RR(P,Q) {mode}", "canonical-partition", n_cap, budget,
                     lambda n, counter: _avoiding(n, [p] * (1 << n), mode, counter,
                                                  symmetry, True, q))
@@ -527,13 +536,6 @@ def rainbow_ramsey(p: PosetPattern, q: PosetPattern, mode: str = "weak",
 # ---------------------------------------------------------------------------
 # F(n,k) and F'(n,k): size thresholds for rainbow strong antichains
 # ---------------------------------------------------------------------------
-
-def _coloring_from_classes(n, class_masks, total=False):
-    items = []
-    for c, masks in enumerate(class_masks):
-        items += [(m, c) for m in masks]
-    return Coloring(n, items, total=total)
-
 
 def _threshold2(n, partial, counter):
     """Exact F(n,2) / F'(n,2) by branch and bound over all 2-colorings.
@@ -544,7 +546,7 @@ def _threshold2(n, partial, counter):
     bit is not in blocked[c] (forward checking).  The same bitset bounds
     the search: class c can grow only by the remaining sets outside
     blocked[c].  Sets are placed in mask order, colors in restricted
-    growth, the uncolored option last.  Returns (max-min, witness,
+    growth, the uncolored option last.  Returns (max-min, classes,
     stopped) as _threshold3 does.
     """
     size = 1 << n
@@ -582,14 +584,9 @@ def _threshold2(n, partial, counter):
 
     try:
         place(0, 0)
-        stopped = False
     except BudgetExceeded:
-        stopped = True
-    witness = None
-    if best_cls is not None:
-        witness = _coloring_from_classes(n, [list(_bits_of(b)) for b in best_cls],
-                                         total=not partial)
-    return best, witness, stopped
+        return best, best_cls, True
+    return best, best_cls, False
 
 
 def _threshold3(n, partial, counter):
@@ -600,8 +597,9 @@ def _threshold3(n, partial, counter):
     interchangeable, so restricted growth breaks the renaming symmetry.
     Sets are placed in mask order, so a new rainbow triple goes through the
     newest set x: a and b from the two other classes, both incomparable to
-    x and to each other.  Returns (max-min, witness, stopped); on a budget
-    stop the best coloring found so far, a lower bound, is returned.
+    x and to each other.  Returns (max-min, classes, stopped): classes are
+    the incumbent's class bitsets over masks, None before a first full
+    coloring; on a budget stop the incumbent is a lower bound.
     """
     size = 1 << n
     inc = _cube(n).inc
@@ -649,14 +647,9 @@ def _threshold3(n, partial, counter):
 
     try:
         place(0, 0)
-        stopped = False
     except BudgetExceeded:
-        stopped = True
-    witness = None
-    if best_cls is not None:
-        witness = _coloring_from_classes(n, [list(_bits_of(b)) for b in best_cls],
-                                         total=not partial)
-    return best, witness, stopped
+        return best, best_cls, True
+    return best, best_cls, False
 
 
 def threshold_F(n: int, k: int, partial: bool,
@@ -676,7 +669,9 @@ def threshold_F(n: int, k: int, partial: bool,
         raise SearchError(f"threshold_F with k={k} is capped at n=4{hint}")
     name = f"F'({n},{k})" if partial else f"F({n},{k})"
     search = _threshold2 if k == 2 else _threshold3
-    v, witness, stopped = search(n, partial, counter)
+    v, classes, stopped = search(n, partial, counter)
+    witness = None if classes is None else Coloring(
+        n, [(m, c) for c, b in enumerate(classes) for m in _bits_of(b)], total=not partial)
     details = {"max_min": v, "nodes": counter.nodes}
     if stopped:
         value = None if witness is None else f">{v}"
@@ -835,14 +830,15 @@ def _two_color_pareto_dp(n, pts, blk, seed_best):
 
 def _seed_three_point(n, pts, blk):
     """Exact value of every one- or two-block chain (0, s, n): a strong
-    starting bound for the Pareto DP, on the same weight tables.  Returns
-    (value, chain config)."""
+    starting bound for the Pareto DP, on the same weight tables.  At n = 0
+    the one-block chain is the single point 0.  Returns (value, chain
+    config), the config None when no chain beats 0."""
     zero = pts[0] - pts[0]
     best = zero
     best_cfg = None
     for s in [None] + list(range(1, n)):
         if s is None:
-            blocks, levels = [(0, n)], [0, n]
+            blocks, levels = ([(0, n)], [0, n]) if n else ([], [0])
         else:
             blocks, levels = [(0, s), (s, n)], [0, s, n]
         block_ws = [blk[a][b] for (a, b) in blocks]
@@ -937,7 +933,7 @@ def two_color_size_dp_oracle(n: int) -> int:
     blk = _interior_table(n, pts, lambda a, b: 1 << (b - a))
     seed, _ = _seed_three_point(n, pts, blk)
     v, _ = _two_color_pareto_dp(n, pts, blk, seed)
-    return max(v, seed)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -1016,9 +1012,9 @@ def fork_g_sweep(r_max: int, k: int):
 
 def fork_f_small(r: int, k: int, n_cap: int = 4,
                  budget: int | None = 2_000_000) -> SearchResult:
-    """f_k(r) = R_k(V_r) by brute force over all k-colorings (k <= 2)."""
-    if k > 2:
-        raise SearchError("fork_f_small is capped at k <= 2")
+    """f_k(r) = R_k(V_r) by brute force over all k-colorings (1 <= k <= 2)."""
+    if not 1 <= k <= 2:
+        raise SearchError(f"fork_f_small needs 1 <= k <= 2, got k = {k}")
     pattern = standard_poset("chain", 2) if r == 1 else standard_poset("fork", r)
     res = ramsey([pattern] * k, "weak", n_cap, budget)
     res.problem = f"f_{k}({r})"

@@ -247,6 +247,13 @@ def test_fork_g_refuses_search_flags(capsys):
     assert code == 0 and json.loads(out)["result"]["value"] == 6
 
 
+def test_fork_f_refuses_k_below_1(capsys):
+    for k in ("0", "-1"):
+        assert main(["fork", "--which", "f", "--r", "2", "--k", k]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: fork_f_small needs 1 <= k <= 2")
+
+
 def test_inequalities_step_guards(capsys):
     # not finite and positive, or more than GRID_MAX_POINTS points: 1e-7
     # asks about 1.25e12 points of tech-a, 5e-9 asks 1e8 of ineq1

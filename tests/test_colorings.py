@@ -206,6 +206,16 @@ def test_find_pattern_generic_rainbow():
     assert is_subset(a, b) and is_subset(b, c) and len(set(hit[1])) == 3
 
 
+def test_find_pattern_refuses_unknown_mode():
+    c2, a3 = poset_by_name("C2"), poset_by_name("A3")
+    col = level_coloring(3)
+    for chromatic in ("mono", "rainbow"):
+        with pytest.raises(ColoringError, match="weak or strong"):
+            find_pattern(col, a3, "bogus", chromatic)
+    with pytest.raises(ColoringError, match="weak or strong"):
+        validate_witness(col, c2, a3, "weak", "bogus")
+
+
 def test_validate_witness_rr_lower_example():
     c2, c3 = poset_by_name("C2"), poset_by_name("C3")
     col = rr_lower_coloring(1, 3, 0)  # n = (|C3|-1) e(C2) - 1 = 1
@@ -243,6 +253,26 @@ def test_fk_random_exhaustion_reports():
     # intersections <= 1 inside [14], whose union needs >= 15 elements
     with pytest.raises(ColoringError, match="exhausted"):
         fk_random_coloring(14, 5, seed=1, max_draws=2000)
+
+
+def test_fk_structural_ok_refuses_misplaced_sets():
+    col, meta = fk_random_coloring(12, 3, seed=321)
+    items = list(col.items)
+    # the largest set in no class lies below no center and above none
+    stray = max((m for m in all_masks(12) if col.color(m) is None), key=canonical_key)
+
+    def mutated(new_items):
+        bad = Coloring(12, new_items)
+        # the canonical renaming left every other set's color alone
+        assert all(bad.color(m) == c for m, c in items if bad.color(m) is not None)
+        return bad
+
+    c = meta.down_colors[0]
+    moved = [m for m, d in items if d == c][-1]
+    out_of_downset = mutated([(m, d) for m, d in items if m != moved] + [(stray, c)])
+    assert not fk_structural_ok(out_of_downset, meta)
+    above_no_center = mutated(items + [(stray, meta.up_color)])
+    assert not fk_structural_ok(above_no_center, meta)
 
 
 def test_fk_random_no_rainbow_exhaustive_n8():

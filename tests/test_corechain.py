@@ -62,6 +62,9 @@ def test_validator_clauses():
     no_endpoints = CoreChain(3, (0b001, 0b111), (None,))
     check = validate_core_chain(no_endpoints, fams)
     assert not check and check.clause == "endpoints"
+    out_of_order = CoreChain(3, (0, 0b011, 0b001, 0b111), (None, None, None))
+    check = validate_core_chain(out_of_order, fams)
+    assert not check and check.clause == "monotone"
 
 
 def test_core_chain_soundness_random():

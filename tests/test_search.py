@@ -209,6 +209,14 @@ def test_two_color_size_pareto_oracle_agreement():
         assert two_color_partial_exact(n, "size").value == two_color_size_dp_oracle(n) + 1
 
 
+def test_size_dp_oracle_matches_threshold_max_min():
+    # at n = 0 the one-block seed chain is the single point 0: the empty
+    # set counts once, so the oracle's max-min is 0, as F'(0,2) = 1 says
+    assert _seed_three_point(0, [1], [[0]]) == (0, None)
+    for n in range(5):
+        assert two_color_size_dp_oracle(n) == threshold_F(n, 2, True).details["max_min"], n
+
+
 def test_two_color_size_witness_valid():
     for n in (4, 5, 8, 9):
         res = two_color_partial_exact(n, "size")
@@ -376,6 +384,12 @@ def test_fork_f_small():
     assert fork_f_small(2, 1, 4).value == 2
     with pytest.raises(SearchError):
         fork_f_small(2, 3, 3)
+    # with no colors there is no Ramsey problem to decide
+    for k in (0, -1):
+        with pytest.raises(SearchError, match="1 <= k <= 2"):
+            fork_f_small(2, k)
+    with pytest.raises(SearchError, match="at least one pattern"):
+        ramsey([])
 
 
 def test_search_result_jsonable():
@@ -427,6 +441,18 @@ def test_ramsey_strong_mode():
     # two colors force a nested same-color pair already on B_2: the empty
     # set and the full set are comparable to everything
     assert ramsey([C2, C2], "strong", 3).value == 2
+
+
+def test_ramsey_refuses_unknown_mode():
+    for mode in ("wek", "Strong", ""):
+        with pytest.raises(SearchError, match="weak or strong"):
+            ramsey([V2, V2], mode, 4)
+
+
+def test_rainbow_ramsey_refuses_unknown_mode():
+    for mode in ("Strong", "wek"):
+        with pytest.raises(SearchError, match="weak or strong"):
+            rainbow_ramsey(C2, A3, mode, 5)
 
 
 def test_rainbow_ramsey_strong_mode_with_partition_cross_check():
