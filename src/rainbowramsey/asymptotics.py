@@ -48,6 +48,8 @@ def c_sequence(k_max: int, tol: float = 1e-12) -> EntropyConstants:
     """
     if k_max < 1:
         raise AsymptoticsError("k_max must be >= 1")
+    if not math.isfinite(tol):
+        raise AsymptoticsError(f"tol must be finite, got {tol!r}")
     if tol < 1e-14:
         raise AsymptoticsError("tol below 1e-14 is not resolvable in doubles")
     cs = [1.0]

@@ -19,7 +19,7 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .lattice import Family
+from .lattice import Family, mask_from_elements
 from .lubell import lubell_mass, lubell_subcube, maxpart_identity_residual
 from .posets import poset_by_name
 from .corechain import core_chain, validate_core_chain
@@ -174,7 +174,7 @@ def _cmd_coloring_gen(args):
         params["parts"] = [int(x) for x in args.parts.split(",")]
     elif args.kind == "trace":
         elems = [int(x) for x in args.r_set.split(",")] if args.r_set else []
-        params["r_mask"] = sum(1 << (e - 1) for e in elems)
+        params["r_mask"] = mask_from_elements(elems, args.n)
     elif args.kind == "rr-lower":
         params.update(e=args.e, q=args.q, f_tweak=args.f_tweak)
     elif args.kind == "fk-random":

@@ -285,12 +285,15 @@ def _check_count(kind, count):
                             f"{_MAX_COLORED} a construction may color")
 
 
-def consecutive_level_coloring(n: int, parts) -> Coloring:
-    """Color classes are intervals of consecutive levels with the given lengths."""
-    parts = list(parts)
-    if any(p < 1 for p in parts) or sum(parts) != n + 1:
-        raise ColoringError(f"parts must be positive and sum to n+1, got {parts}")
-    _check_count("consecutive-level", 1 << n)
+def _check_ground(n):
+    """Refuse n < 0 as Coloring does, before any 1 << n is evaluated."""
+    if n < 0:
+        raise ColoringError(f"bad ground {n}")
+
+
+def _level_blocks(n, parts):
+    """The total coloring whose classes are runs of consecutive levels,
+    parts[i] levels in class i from the empty set up."""
     color_of_level = []
     for idx, p in enumerate(parts):
         color_of_level += [idx] * p
@@ -298,8 +301,35 @@ def consecutive_level_coloring(n: int, parts) -> Coloring:
                     total=True)
 
 
+def _chain_config_coloring(n, config):
+    """Materialize the partial 2-coloring described by a chain config on
+    the canonical nested ground sets {1..l}: each (level, open-block owner,
+    point owner) colors the chain point {1..level} and, unless the owner
+    is None, the sets strictly between it and the previous point."""
+    items = []
+    prev = 0
+    for (lvl, blk_to, pt_to) in config:
+        items.append((full_mask(lvl), pt_to))
+        if blk_to is not None:
+            lo = full_mask(prev)
+            items += [(lo | x << prev, blk_to) for x in all_masks(lvl - prev)[1:-1]]
+        prev = lvl
+    return Coloring(n, items)
+
+
+def consecutive_level_coloring(n: int, parts) -> Coloring:
+    """Color classes are intervals of consecutive levels with the given lengths."""
+    _check_ground(n)
+    parts = list(parts)
+    if any(p < 1 for p in parts) or sum(parts) != n + 1:
+        raise ColoringError(f"parts must be positive and sum to n+1, got {parts}")
+    _check_count("consecutive-level", 1 << n)
+    return _level_blocks(n, parts)
+
+
 def trace_coloring(n: int, r_mask: int) -> Coloring:
     """phi(F) = |F intersect R|."""
+    _check_ground(n)
     if r_mask & ~full_mask(n):
         raise ColoringError("trace set outside ground")
     _check_count("trace", 1 << n)
@@ -308,8 +338,9 @@ def trace_coloring(n: int, r_mask: int) -> Coloring:
 
 def level_coloring(n: int) -> Coloring:
     """The trivial coloring phi(F) = |F|."""
+    _check_ground(n)
     _check_count("level", 1 << n)
-    return Coloring(n, [(m, m.bit_count()) for m in all_masks(n)], total=True)
+    return _level_blocks(n, [1] * (n + 1))
 
 
 def rr_lower_coloring(e: int, q: int, f_tweak: int = 0) -> Coloring:
@@ -328,19 +359,8 @@ def rr_lower_coloring(e: int, q: int, f_tweak: int = 0) -> Coloring:
     if n < 1:
         raise ColoringError("rr-lower needs e*(q-1)+f_tweak >= 2")
     _check_count("rr-lower", 1 << n)
-    items = []
-    lo_level, hi_level = (0, n)
-    if f_tweak >= 1:
-        items.append((0, q - 1))
-        lo_level = 1
-    if f_tweak == 2:
-        items.append((full_mask(n), q))
-        hi_level = n - 1
-    for m in all_masks(n):
-        lvl = m.bit_count()
-        if lo_level <= lvl <= hi_level and not (f_tweak >= 1 and m == 0):
-            items.append((m, (lvl - lo_level) // e))
-    return Coloring(n, items, total=True)
+    # the empty set, and for f_tweak = 2 the full set, alone in a level block
+    return _level_blocks(n, [1] * (f_tweak >= 1) + [e] * (q - 1) + [1] * (f_tweak == 2))
 
 
 def f2_lower_coloring(n: int) -> Coloring:
@@ -354,14 +374,7 @@ def f2_lower_coloring(n: int) -> Coloring:
         raise ColoringError(f"f2-lower needs even n >= 2 or odd n >= 5, got {n}")
     # the downset of S and the upset of S less S, with [n] moved for odd n
     _check_count("f2-lower", (1 << n // 2) + (1 << n - n // 2) - 1)
-    s = full_mask(n // 2)
-    items = [(m, 0) for m in submasks(s)]
-    if n % 2 == 0:
-        items += [(m, 1) for m in supermasks(s, n) if m != s]
-    else:
-        items.append((full_mask(n), 0))
-        items += [(m, 1) for m in supermasks(s, n) if m != s and m != full_mask(n)]
-    return Coloring(n, items)
+    return _chain_config_coloring(n, [(0, None, 0), (n // 2, 0, 0), (n, 1, 1 - n % 2)])
 
 
 def g2_lower_coloring(n: int) -> Coloring:
@@ -376,11 +389,7 @@ def g2_lower_coloring(n: int) -> Coloring:
     assert 2 * h * h <= n * n < 2 * (h + 1) * (h + 1)
     # the empty set, the upset of H and the rest of the downset of H
     _check_count("g2-lower", (1 << n - h) + (1 << h) - 1)
-    h_mask = full_mask(h)
-    items = [(0, 0)] + [(m, 0) for m in supermasks(h_mask, n)]
-    colored = {m for m, _ in items}
-    items += [(m, 1) for m in submasks(h_mask) if m not in colored and m != 0]
-    return Coloring(n, items)
+    return _chain_config_coloring(n, [(0, None, 0), (h, 1, 0), (n, 0, 0)])
 
 
 @dataclass(frozen=True)
@@ -406,6 +415,7 @@ def fk_random_coloring(n: int, k: int, seed: int, max_draws: int = 10000):
     """
     import random as _random
 
+    _check_ground(n)
     if k < 2:
         raise ColoringError("fk-random needs k >= 2")
     if seed is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .lattice import Family, LatticeError, full_mask, is_subset, set_repr
+from .lattice import Family, LatticeError, full_mask, is_subset, set_repr, submasks
 
 
 class CoreChainError(ValueError):
@@ -195,15 +195,10 @@ def random_comparable_pair(n: int, rng, l: int = 2):
     for j in range(len(points) - 1):
         lo, hi = points[j], points[j + 1]
         fam_idx = rng.randrange(l)
-        free = hi & ~lo
-        sub = free
-        while True:
+        for sub in submasks(hi & ~lo):
             m = lo | sub
             if m != lo and m != hi and rng.random() < 0.5:
                 members[fam_idx].add(m)
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
     for p in points:
         pick = rng.randrange(l + 1)
         if pick < l and all(p not in ms for ms in members):

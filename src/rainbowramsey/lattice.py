@@ -236,36 +236,23 @@ def region(spec: RegionSpec, n: int) -> Family:
     _check_ground(n)
     full = full_mask(n)
     kind = spec.kind
-    if kind == "full":
-        masks = set(all_masks(n))
-        extremes = (0, full)
-    elif kind == "level":
+    # the kinds with a unique min and max are the one interval between them
+    one = {"full": (0, full), "subcube": (spec.f, spec.h),
+           "upset": (spec.f, full), "downset": (0, spec.f)}
+    if kind == "level":
         if not 0 <= spec.ell <= n:
             raise LatticeError(f"level {spec.ell} outside 0..{n}")
         masks = {m for m in all_masks(n) if m.bit_count() == spec.ell}
         extremes = None
-    elif kind == "subcube":
-        if spec.f & ~full or spec.h & ~full or not is_subset(spec.f, spec.h):
-            raise LatticeError("subcube needs F <= H inside the ground set")
-        masks = {spec.f | extra for extra in submasks(spec.h & ~spec.f)}
-        extremes = (spec.f, spec.h)
-    elif kind == "upset":
-        if spec.f & ~full:
-            raise LatticeError("upset base outside ground")
-        masks = set(supermasks(spec.f, n))
-        extremes = (spec.f, full)
-    elif kind == "downset":
-        if spec.f & ~full:
-            raise LatticeError("downset base outside ground")
-        masks = set(submasks(spec.f))
-        extremes = (0, spec.f)
-    elif kind == "interval-union":
+    elif kind in one or kind == "interval-union":
+        extremes = one.get(kind)
+        intervals = spec.intervals if extremes is None else (extremes,)
+        where = "per interval" if extremes is None else "inside the ground set"
         masks = set()
-        for (f, h) in spec.intervals:
+        for (f, h) in intervals:
             if f & ~full or h & ~full or not is_subset(f, h):
-                raise LatticeError("interval-union needs F <= H per interval")
+                raise LatticeError(f"{kind} needs F <= H {where}")
             masks.update(f | extra for extra in submasks(h & ~f))
-        extremes = None
     else:
         raise LatticeError(f"unknown region kind {kind!r}")
 

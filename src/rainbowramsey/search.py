@@ -21,9 +21,9 @@ from math import factorial, lcm
 from operator import and_, xor
 from typing import NamedTuple
 
-from .lattice import all_masks, canonical_key, full_mask, order_rows
+from .lattice import all_masks, canonical_key, order_rows
 from .lubell import binom, lubell_interval
-from .colorings import Coloring, _rainbow_strong_antichain
+from .colorings import Coloring, _chain_config_coloring, _rainbow_strong_antichain
 from .posets import PosetPattern, standard_poset, _search_embedding
 
 
@@ -717,9 +717,9 @@ def _two_color_size(n):
 
 
 def _size_chain_config(n, cfg):
-    """The chain config (see _chain_config_coloring) of a split (x, y, s):
-    the x-block from the empty set in class 0, the y-block above it in
-    class 1, then unit steps up to [n].  Each chain point, bottom up, goes
+    """The chain config (see colorings._chain_config_coloring) of a split
+    (x, y, s): the x-block from the empty set in class 0, the y-block above
+    it in class 1, then unit steps up to [n].  Each chain point, bottom up, goes
     to the class that is smaller so far, ties to class 0."""
     x, y, _ = cfg
     steps = ([(x, 0)] if x else []) + ([(x + y, 1)] if y else [])
@@ -863,29 +863,6 @@ def _seed_three_point(n, pts, blk):
     return best, best_cfg
 
 
-def _chain_config_coloring(n, config):
-    """Materialize the partial 2-coloring described by a DP chain config
-    on the canonical nested ground sets {1..l}."""
-    items = []
-    prev = 0
-    for (lvl, blk_to, pt_to) in config:
-        mask = full_mask(lvl)
-        items.append((mask, pt_to))
-        if blk_to is not None:
-            lo, hi = full_mask(prev), mask
-            sub = hi & ~lo
-            inner = sub
-            while True:
-                m = lo | inner
-                if m != lo and m != hi:
-                    items.append((m, blk_to))
-                if inner == 0:
-                    break
-                inner = (inner - 1) & sub
-        prev = lvl
-    return Coloring(n, items)
-
-
 def two_color_partial_exact(n: int, objective: str = "size") -> SearchResult:
     """Exact F'(n,2) (objective "size") or G'(n,2) (objective "mass").
 
@@ -1015,6 +992,8 @@ def fork_f_small(r: int, k: int, n_cap: int = 4,
     """f_k(r) = R_k(V_r) by brute force over all k-colorings (1 <= k <= 2)."""
     if not 1 <= k <= 2:
         raise SearchError(f"fork_f_small needs 1 <= k <= 2, got k = {k}")
+    if r < 1:
+        raise SearchError(f"fork_f_small needs r >= 1, got r = {r}")
     pattern = standard_poset("chain", 2) if r == 1 else standard_poset("fork", r)
     res = ramsey([pattern] * k, "weak", n_cap, budget)
     res.problem = f"f_{k}({r})"

@@ -42,6 +42,10 @@ def test_c_sequence_contract():
         c_sequence(0)
     with pytest.raises(AsymptoticsError):
         c_sequence(3, 1e-16)
+    # a residual is never >= nan, and nan or inf is no JSON number
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(AsymptoticsError, match="tol must be finite"):
+            c_sequence(3, tol)
 
 
 def test_c_sequence_residual_definition():

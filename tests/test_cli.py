@@ -349,3 +349,24 @@ def test_coloring_gen_capped_before_enumerating(capsys, monkeypatch):
             assert "more than the 1048576" in capsys.readouterr().err
     code, out = run_cli(capsys, "coloring", "gen", "--kind", "g2-lower", "--n", "20")
     assert code == 0 and sum(json.loads(out)["result"]["classes"]) == 16_447
+
+
+def test_trace_r_set_is_a_set_of_elements(capsys):
+    # a repeated element names the same set as one copy, not the next bit up
+    code, out = run_cli(capsys, "coloring", "gen", "--kind", "trace", "--n", "3",
+                        "--r-set", "1,1")
+    _, once = run_cli(capsys, "coloring", "gen", "--kind", "trace", "--n", "3",
+                      "--r-set", "1")
+    assert code == 0 and json.loads(out)["result"] == json.loads(once)["result"]
+    _, two = run_cli(capsys, "coloring", "gen", "--kind", "trace", "--n", "3",
+                     "--r-set", "2")
+    assert json.loads(out)["result"] != json.loads(two)["result"]
+    for elem in ("0", "4"):
+        assert main(["coloring", "gen", "--kind", "trace", "--n", "3", "--r-set", elem]) == 1
+        assert f"element {elem} outside ground [3]" in capsys.readouterr().err
+
+
+def test_constants_refuses_non_finite_tol(capsys):
+    for tol in ("nan", "inf"):
+        assert main(["constants", "--k-max", "3", "--tol", tol]) == 1
+        assert "tol must be finite" in capsys.readouterr().err

@@ -174,6 +174,14 @@ def test_constructions_capped_before_enumerating(monkeypatch):
             build()
 
 
+def test_constructions_refuse_negative_ground():
+    # refused as Coloring refuses it, before any 1 << n is evaluated
+    for build in (lambda: level_coloring(-1), lambda: trace_coloring(-1, 0),
+                  lambda: consecutive_level_coloring(-1, []),
+                  lambda: fk_random_coloring(-1, 3, seed=1)):
+        with pytest.raises(ColoringError, match="^bad ground -1$"):
+            build()
+
 def test_find_pattern_spec_examples():
     c2 = poset_by_name("C2")
     # one-color colorings never host a rainbow C2
@@ -409,3 +417,24 @@ def test_rainbow_antichain_pinned_tuples():
     assert _antichain_digest(fk) == "157e0b94a8bc5ae9"
     assert _antichain_digest(level) == "2a477105f13c9343"
     assert _antichain_digest(rr) == "4d5af7523ec13573"
+
+
+def test_construction_colorings_pinned():
+    # the colorings themselves, not only their class sizes and masses: a
+    # set moved to the other class, or two classes swapped, changes a digest
+    from rainbowramsey.search import two_color_partial_exact
+
+    def digest(cols):
+        return _antichain_digest([[c.ground, c.total, c.items] for c in cols])
+
+    level = [level_coloring(n) for n in range(9)]
+    rr = [rr_lower_coloring(e, q, f) for e in range(1, 4) for q in range(2, 6)
+          for f in range(3) if e * (q - 1) + f >= 2]
+    f2 = [f2_lower_coloring(n) for n in range(2, 15) if n % 2 == 0 or n >= 5]
+    g2 = [g2_lower_coloring(n) for n in range(2, 15)]
+    dp = [two_color_partial_exact(n, objective).witness
+          for n in range(1, 17) for objective in ("size", "mass")]
+    assert len(rr) == 35 and len(f2) == 12 and len(dp) == 32
+    assert (digest(level), digest(rr)) == ("54ea1b7b734a8b19", "968f31f614ce822b")
+    assert (digest(f2), digest(g2)) == ("39f293b4ca86255e", "834d45c7a9051eca")
+    assert digest(dp) == "26caab7145068730"

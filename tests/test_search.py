@@ -388,6 +388,11 @@ def test_fork_f_small():
     for k in (0, -1):
         with pytest.raises(SearchError, match="1 <= k <= 2"):
             fork_f_small(2, k)
+    # r = 1 is the chain C2; below that there is no fork
+    assert fork_f_small(1, 1, 4).value == 1
+    for r in (0, -1):
+        with pytest.raises(SearchError, match="needs r >= 1"):
+            fork_f_small(r, 1)
     with pytest.raises(SearchError, match="at least one pattern"):
         ramsey([])
 
