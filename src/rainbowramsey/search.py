@@ -282,7 +282,9 @@ def _prefix_is_orbit_min(assign, t, tied, reading, ties_out):
     have seen every color of the prefix, so their next label is the
     prefix's largest plus one).  The classes still tied at t go to
     ties_out.  The identity always ties, so a class holding it alone is
-    handed on as it is, its renaming no longer read.
+    handed on as it is, its renaming no longer read.  On a refusal
+    ties_out gets instead the pair (i, perms): the position i where the
+    refusing permutations perms first read a smaller label.
     """
     s, classes = tied
     if len(classes) == 1 and classes[0][1] == 1:
@@ -306,12 +308,14 @@ def _prefix_is_orbit_min(assign, t, tied, reading, ties_out):
                     rest ^= both
                     label = c if cmap is None else cmap.get(c, len(cmap))
                     if label < b:
+                        ties_out.append((s + k, both))
                         return False
                     if label == b:
                         hits.append((c, both))
             if rest:
                 label = first if cmap is None else cmap.get(first, len(cmap))
                 if label < b:
+                    ties_out.append((s + k, rest))
                     return False
                 if label == b:
                     hits.append((first, rest))
@@ -321,6 +325,57 @@ def _prefix_is_orbit_min(assign, t, tied, reading, ties_out):
         classes = kept
     ties_out.extend(classes)
     return True
+
+
+def _last_read(masks, where, s, refusal):
+    """The last position that a refusal of the orbit test at the end of
+    the level starting at s reads, refusal = (i, perms) as
+    _prefix_is_orbit_min reports it (where[m] is the position of mask m).
+
+    For sigma the lowest-numbered permutation of perms, decoded from its
+    number (itertools.permutations numbers them in lexicographic order),
+    the refusal reads the prefix's labels at positions s..i and sigma's
+    colors at the positions of sigma(masks[p]) for p in s..i: its class
+    and renaming at s come from the positions before s, and the renaming
+    grows only by what sigma read.
+    """
+    i, perms = refusal
+    number = (perms & -perms).bit_length() - 1
+    n = len(where).bit_length() - 1
+    left = list(range(n))
+    images = []   # the bit of sigma(a), for a = 0..n-1
+    for m in range(n - 1, -1, -1):
+        place, number = divmod(number, factorial(m))
+        images.append(1 << left.pop(place))
+    last = i
+    for p in range(s, i + 1):
+        mask, image, a = masks[p], 0, 0
+        while mask:
+            if mask & 1:
+                image |= images[a]
+            mask >>= 1
+            a += 1
+        if where[image] > last:
+            last = where[image]
+    return last
+
+
+def _rainbow_pair(parts, rows):
+    """True when some set of one part is in the row of a set of an
+    earlier part: parts are bitsets of sets, one per color, and rows[a]
+    the bitset of the sets related to a (incomparable to it, or comparable
+    to it)."""
+    seen = 0
+    for part in parts:
+        if seen:
+            rest = part
+            while rest:
+                low = rest & -rest
+                if rows[low.bit_length() - 1] & seen:
+                    return True
+                rest ^= low
+        seen |= part
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +415,20 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
     color other than the level's first XORs the set's column of
     _perm_position_maps into that color's sets, and undoing the color
     XORs it out.  A level whose tied set is the identity alone keeps none.
+
+    A refusal of the orbit test is remembered until it can change.  A
+    permutation sigma that refuses the prefix at level end t, first at
+    position i, does so because of the prefix's labels through i,
+    sigma's colors at the positions of sigma(masks[p]) for p from the
+    level's start s through i (same level, so before t), and sigma's class
+    and renaming at s, which the positions before s fix.  While none of
+    these positions is uncolored sigma still refuses, so every arrival at
+    t is refused, and counted as a node, without running the test again.
+    The search records the last of these positions (_last_read) and drops
+    the refusal when it uncolors a position at or below it.  A backtrack
+    from below s uncolors s too, so at most one refusal stands at a time.
     """
-    masks, ends, below, _, inc = _cube(n)
+    masks, ends, below, above, inc = _cube(n)
     total = len(masks)
     limit = len(patterns)
     use_sym = symmetry and n >= 4
@@ -374,11 +441,14 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
     # level, (s, classes), and its reading sets, None where none are kept
     tied = [None] * total
     reading = [None] * total
+    # the standing refusal: its level end and the last position it reads
+    refused_end = refused_last = -1
     if use_sym:
         # every permutation ties on the empty prefix, under no renaming yet
         tied[0] = (0, [({} if rename else None, (1 << factorial(n)) - 1)])
         cols = _perm_position_maps(n)
         reading[0] = _Reading(cols, 0)
+        where = {m: i for i, m in enumerate(masks)}
 
     if q is not None:
         q_size = q.size
@@ -387,6 +457,10 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
         # below the newest set
         q_shorter = standard_poset("chain", q_size - 1) if q.is_chain() and q_size > 1 else None
         color_of = [None] * (1 << n)
+        # the residual of a strong A3 or a C3 through x is two sets from two
+        # classes other than x's: _rainbow_pair looks for it in one pass
+        pair = q_size == 3
+        comparable = [b | a for b, a in zip(below, above)] if pair and q_shorter else None
 
         def rainbow_through(t, x, c):
             """Color x with c; True when that completes a rainbow q."""
@@ -398,15 +472,23 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
                     return True  # q_size distinct colors suffice for a weak antichain copy
                 # a new copy goes through x: a rainbow strong A_{q-1} among
                 # the colored sets incomparable to x, in the other classes
+                inc_x = inc[x]
+                if pair:
+                    return _rainbow_pair([classes[d].bits & inc_x for d in range(used[t] + 1)
+                                          if d != c], inc)
                 others = [b for d in range(used[t] + 1)
-                          if d != c and (b := classes[d].bits & inc[x])]
+                          if d != c and (b := classes[d].bits & inc_x)]
                 return _rainbow_strong_antichain(others, inc.__getitem__,
                                                  q_size - 1) is not None
             if q_shorter is not None:
                 # x tops any new copy (no colored set lies above it): a
                 # rainbow C_{l-1} among the strict subsets of x outside x's
                 # class, all colored since they precede x
-                cand = below[x] & ~classes[c].bits
+                below_x = below[x]
+                if pair:
+                    return _rainbow_pair([classes[d].bits & below_x for d in range(used[t] + 1)
+                                          if d != c], comparable)
+                cand = below_x & ~classes[c].bits
                 return _search_embedding(tuple(_bits_of(cand)), q_shorter, "weak", False,
                                          color_of=color_of.__getitem__) is not None
             return _search_embedding(tuple(masks[:t + 1]), q, mode, False,
@@ -420,7 +502,9 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
             if t == total:
                 return Coloring(n, list(zip(masks, assign)), total=True)
             c = 0
-            if use_sym and t in ends:
+            if t == refused_end:
+                c = limit   # still refused: see the docstring
+            elif use_sym and t in ends:
                 ties = []
                 s = level_start[t - 1]
                 if _prefix_is_orbit_min(assign, t, tied[s], reading[s], ties):
@@ -428,6 +512,7 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
                     reading[t] = None if len(ties) == 1 and ties[0][1] == 1 else _Reading(cols, t)
                 else:
                     c = limit
+                    refused_end, refused_last = t, _last_read(masks, where, s, ties[0])
         top = min(limit - 1, used[t] + 1) if rename else limit - 1
         x = masks[t]
         while c <= top:
@@ -450,6 +535,8 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
         if t == 0:
             return None
         t -= 1
+        if t <= refused_last:
+            refused_end = refused_last = -1
         c = assign[t]
         classes[c].remove(masks[t])
         s = level_start[t]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
@@ -32,6 +33,7 @@ from rainbowramsey.search import (
     _max_block_len,
     _Reading,
     _prefix_is_orbit_min,
+    _rainbow_pair,
     _seed_three_point,
     _two_color_pareto_dp,
     fork_can_avoid,
@@ -632,6 +634,41 @@ def test_anchored_rainbow_check_matches_unanchored():
         assert found > 20, kind
 
 
+def test_rainbow_pair_matches_generic_kernels():
+    # the two-set residuals of a strong A3 and of a C3 through x, tested by
+    # _rainbow_pair over the class bitsets, give the same answer as the
+    # generic kernels on seeded random partial colorings, n = 2..5
+    rng = random.Random(3141)
+    outcomes = {"antichain": [0, 0], "chain": [0, 0]}
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        _, _, below, above, inc = _cube(n)
+        comparable = [b | a for b, a in zip(below, above)]
+        ncolors = rng.randint(2, 5)
+        color = {m: c for m in range(1 << n) if (c := rng.randrange(ncolors + 1)) < ncolors}
+        x = rng.randrange(1 << n)
+        c = rng.randrange(ncolors)
+        color.pop(x, None)
+        class_bits = [0] * ncolors
+        for m, d in color.items():
+            class_bits[d] |= 1 << m
+        # the antichain residual: the sets incomparable to x, by class
+        parts = [class_bits[d] & inc[x] for d in range(ncolors) if d != c]
+        got = _rainbow_pair(parts, inc)
+        assert got == (_rainbow_strong_antichain([b for b in parts if b], inc.__getitem__, 2)
+                       is not None)
+        outcomes["antichain"][got] += 1
+        # the chain residual: the colored strict subsets of x outside its class
+        parts = [class_bits[d] & below[x] for d in range(ncolors) if d != c]
+        got = _rainbow_pair(parts, comparable)
+        colored = sum(class_bits)   # the classes are disjoint
+        cand = tuple(_bits_of(below[x] & ~class_bits[c] & colored))
+        assert got == (_search_embedding(cand, C2, "weak", False, color_of=color.get)
+                       is not None)
+        outcomes["chain"][got] += 1
+    assert all(no > 50 and yes > 50 for no, yes in outcomes.values()), outcomes
+
+
 def _literal_perm_positions(n):
     """For each permutation of [n] in itertools order, position i of the
     level order maps to the position of the permuted mask, by applying the
@@ -809,11 +846,68 @@ def test_orbit_reading_sets_match_recomputed(monkeypatch):
     assert seen["calls"] > seen["kept"] and seen["stale"] > 0
 
 
+def _on_memo_refusals(monkeypatch, seen):
+    """Make every search call seen(state) on each arrival that its
+    remembered orbit-test refusal refuses, state being _avoiding's local
+    variables.  The remembered refusal lives in those variables and
+    refusing by it calls nothing, so the node counter, which _avoiding
+    ticks on every arrival just before its orbit test, reads them from
+    its caller's frame."""
+    from rainbowramsey import search
+
+    class Watched(search._Counter):
+        def tick(self):
+            super().tick()
+            state = sys._getframe(1).f_locals
+            if state["t"] == state["refused_end"]:
+                seen(state)
+
+    monkeypatch.setattr(search, "_Counter", Watched)
+
+
+def test_orbit_refusal_memo_is_sound(monkeypatch):
+    # each arrival at a level end that a remembered refusal refuses is
+    # refused by the orbit test too, run again there on the same state;
+    # every pinned tree, and budgeted n = 6 runs, colors renamed and not
+    from rainbowramsey import search
+    inner = search._prefix_is_orbit_min
+    tests = [0]
+    memo = {"renamed": 0, "plain": 0}
+
+    def tested(*args):
+        tests[0] += 1
+        return inner(*args)
+
+    def recheck(state):
+        memo["renamed" if state["rename"] else "plain"] += 1
+        t, assign = state["t"], state["assign"]
+        s = state["level_start"][t - 1]
+        refusal = []
+        assert inner(assign, t, state["tied"][s], state["reading"][s], refusal) is False
+        # at or before the last position the remembered refusal reads
+        assert refusal[0][0] <= state["refused_last"]
+
+    monkeypatch.setattr(search, "_prefix_is_orbit_min", tested)
+    _on_memo_refusals(monkeypatch, recheck)
+    # the runs of test_pinned_search_trees, read from its parameters
+    for run, *_ in test_pinned_search_trees.pytestmark[0].args[1]:
+        run(True)
+    for run in (lambda: rainbow_ramsey(C3, A3, "strong", 6, budget=4000),
+                lambda: ramsey([C3, C3, C3], "weak", 6, budget=2000),
+                lambda: ramsey([C4, C4], "weak", 6, budget=2000),
+                lambda: ramsey([C3, C4], "weak", 5)):
+        run()
+    assert tests[0] > 5000 and memo["renamed"] > 10_000 and memo["plain"] > 5000, (tests, memo)
+
+
 def test_pinned_orbit_tree_on_s8(monkeypatch):
     # the orbit test over S_8 (40,320 permutations): a budgeted R(C3,C3,C3,C3)
-    # stops in n = 8 with the same tree, witness and orbit-test outcomes
+    # stops in n = 8 with the same tree, witness and orbit-test outcomes;
+    # of its 96 arrivals at level ends and 42 refusals, 27 are refused by
+    # a remembered refusal without running the test
     from rainbowramsey import search
     calls = []
+    memo = []
     inner = search._prefix_is_orbit_min
 
     def counted(*args):
@@ -821,13 +915,15 @@ def test_pinned_orbit_tree_on_s8(monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(search, "_prefix_is_orbit_min", counted)
+    _on_memo_refusals(monkeypatch, memo.append)
     try:
         res = ramsey([C3] * 4, "weak", 8, budget=1000)
     finally:
         search._PERM_MAPS.pop(8, None)   # about 63 MiB
     assert (res.value, res.details["nodes"], res.checked) == (">7", 1001, (0, 7))
     assert _digest(res.witness) == "f1f93e68ff016117"
-    assert (len(calls), calls.count(False)) == (96, 42)
+    assert (len(calls) + len(memo), calls.count(False) + len(memo)) == (96, 42)
+    assert (len(calls), calls.count(False), len(memo)) == (69, 15, 27)
 
 
 def _digest(col):
