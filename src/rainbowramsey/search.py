@@ -360,13 +360,17 @@ def _last_read(masks, where, s, refusal):
     return last
 
 
-def _rainbow_pair(parts, rows):
-    """True when some set of one part is in the row of a set of an
-    earlier part: parts are bitsets of sets, one per color, and rows[a]
-    the bitset of the sets related to a (incomparable to it, or comparable
-    to it)."""
+def _rainbow_pair(classes, k, c, window, rows):
+    """True when, of the classes[:k] other than classes[c], each cut to
+    the bitset window, some set of one is in the row of a set of an
+    earlier one: classes hold their sets as a bitset in .bits, and rows[a]
+    is the bitset of the sets related to a (incomparable to it, or
+    comparable to it)."""
     seen = 0
-    for part in parts:
+    for d in range(k):
+        if d == c:
+            continue
+        part = classes[d].bits & window
         if seen:
             rest = part
             while rest:
@@ -474,8 +478,7 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
                 # the colored sets incomparable to x, in the other classes
                 inc_x = inc[x]
                 if pair:
-                    return _rainbow_pair([classes[d].bits & inc_x for d in range(used[t] + 1)
-                                          if d != c], inc)
+                    return _rainbow_pair(classes, used[t] + 1, c, inc_x, inc)
                 others = [b for d in range(used[t] + 1)
                           if d != c and (b := classes[d].bits & inc_x)]
                 return _rainbow_strong_antichain(others, inc.__getitem__,
@@ -486,8 +489,7 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
                 # class, all colored since they precede x
                 below_x = below[x]
                 if pair:
-                    return _rainbow_pair([classes[d].bits & below_x for d in range(used[t] + 1)
-                                          if d != c], comparable)
+                    return _rainbow_pair(classes, used[t] + 1, c, below_x, comparable)
                 cand = below_x & ~classes[c].bits
                 return _search_embedding(tuple(_bits_of(cand)), q_shorter, "weak", False,
                                          color_of=color_of.__getitem__) is not None
@@ -684,58 +686,83 @@ def _threshold3(n, partial, counter):
     interchangeable, so restricted growth breaks the renaming symmetry.
     Sets are placed in mask order, so a new rainbow triple goes through the
     newest set x: a and b from the two other classes, both incomparable to
-    x and to each other.  Returns (max-min, classes, stopped): classes are
-    the incumbent's class bitsets over masks, None before a first full
-    coloring; on a budget stop the incumbent is a lower bound.
+    x and to each other.  Colors are tried in turn, the uncolored option
+    last; a color that completes a rainbow triple makes no node.  Returns
+    (max-min, classes, stopped): classes are the incumbent's class bitsets
+    over masks, None before a first full coloring; on a budget stop the
+    incumbent is a lower bound.
+
+    Each child is one node, counted in the search order as _Counter.tick
+    would.  The bound (even giving every remaining set to the smallest
+    class cannot beat the incumbent) is tested at the parent, child by
+    child since the incumbent can rise between siblings: a child it cuts
+    is counted and not entered.  The triple test reads two 256-entry
+    tables, the OR of the inc rows of the sets in each byte of a bitset
+    (n <= 4: at most 16 sets).
     """
     size = 1 << n
     inc = _cube(n).inc
+    rows = inc + [0] * (16 - size)
+    row_lo = [0] * 256
+    row_hi = [0] * 256
+    for j in range(1, 256):
+        low = (j & -j).bit_length() - 1
+        row_lo[j] = row_lo[j & j - 1] | rows[low]
+        row_hi[j] = row_hi[j & j - 1] | rows[low + 8]
     cls = [0, 0, 0]
     counts = [0, 0, 0]
     best = -1
     best_cls = None
+    nodes = counter.nodes
+    # no budget: the tree has fewer than 4^(size + 1) nodes
+    limit = 4 ** (size + 1) if counter.limit is None else counter.limit
     # (color, colors used after it) per number of colors used so far
     options = [[(c, max(used, c + 1)) for c in range(min(3, used + 1))]
                for used in range(4)]
-    if partial:
-        for used, opts in enumerate(options):
-            opts.append((None, used))
 
     def place(t, used):
-        nonlocal best, best_cls
-        counter.tick()
+        """Enter the node at t, which the bound does not cut."""
+        nonlocal nodes, best, best_cls
         if t == size:
-            v = min(counts)
-            if v > best:
-                best = v
-                best_cls = cls[:]
-            return
-        # even giving every remaining set to the smallest class cannot help
-        if min(counts) + size - t <= best:
+            best = min(counts)
+            best_cls = cls[:]
             return
         inc_t = inc[t]
+        bit = 1 << t
+        left = size - t - 1
+        # a child is entered when its smallest class holds more than floor
+        floor = best - left
         for c, after in options[used]:
-            if c is None:
-                place(t + 1, after)
-                continue
             # a rainbow triple through t: a and b from the two other classes
-            a_bits = inc_t & cls[c - 2]
-            if a_bits:
-                b_bits = inc_t & cls[c - 1]
-                while a_bits and not inc[(a_bits & -a_bits).bit_length() - 1] & b_bits:
-                    a_bits &= a_bits - 1
-                if a_bits:
-                    continue
-            counts[c] += 1
-            cls[c] |= 1 << t
-            place(t + 1, after)
-            cls[c] ^= 1 << t
-            counts[c] -= 1
+            a = inc_t & cls[c - 2]
+            if a and (row_lo[a & 255] | row_hi[a >> 8]) & inc_t & cls[c - 1]:
+                continue
+            nodes += 1
+            if nodes > limit:
+                raise BudgetExceeded
+            if counts[c - 1] > floor < counts[c - 2] and counts[c] >= floor:
+                counts[c] += 1
+                cls[c] |= bit
+                place(t + 1, after)
+                cls[c] ^= bit
+                counts[c] -= 1
+                floor = best - left
+        if partial:
+            nodes += 1
+            if nodes > limit:
+                raise BudgetExceeded
+            if counts[0] > floor < counts[1] and counts[2] > floor:
+                place(t + 1, used)
 
     try:
+        nodes += 1   # the root, never cut
+        if nodes > limit:
+            raise BudgetExceeded
         place(0, 0)
     except BudgetExceeded:
         return best, best_cls, True
+    finally:
+        counter.nodes = nodes
     return best, best_cls, False
 
 

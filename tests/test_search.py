@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +26,9 @@ from rainbowramsey.colorings import (
     validate_witness,
 )
 from rainbowramsey.search import (
+    BudgetExceeded,
     SearchError,
+    _Counter,
     _MonoClass,
     _bits_of,
     _cube,
@@ -35,6 +38,7 @@ from rainbowramsey.search import (
     _prefix_is_orbit_min,
     _rainbow_pair,
     _seed_three_point,
+    _threshold3,
     _two_color_pareto_dp,
     fork_can_avoid,
     fork_can_avoid_naive,
@@ -652,15 +656,15 @@ def test_rainbow_pair_matches_generic_kernels():
         class_bits = [0] * ncolors
         for m, d in color.items():
             class_bits[d] |= 1 << m
+        classes = [SimpleNamespace(bits=b) for b in class_bits]
         # the antichain residual: the sets incomparable to x, by class
         parts = [class_bits[d] & inc[x] for d in range(ncolors) if d != c]
-        got = _rainbow_pair(parts, inc)
+        got = _rainbow_pair(classes, ncolors, c, inc[x], inc)
         assert got == (_rainbow_strong_antichain([b for b in parts if b], inc.__getitem__, 2)
                        is not None)
         outcomes["antichain"][got] += 1
         # the chain residual: the colored strict subsets of x outside its class
-        parts = [class_bits[d] & below[x] for d in range(ncolors) if d != c]
-        got = _rainbow_pair(parts, comparable)
+        got = _rainbow_pair(classes, ncolors, c, below[x], comparable)
         colored = sum(class_bits)   # the classes are disjoint
         cand = tuple(_bits_of(below[x] & ~class_bits[c] & colored))
         assert got == (_search_embedding(cand, C2, "weak", False, color_of=color.get)
@@ -1048,6 +1052,79 @@ def test_threshold3_budget_stop_keeps_incumbent():
     # a budget too small to reach a full coloring has no incumbent
     res = threshold_F(4, 3, partial=True, budget=5)
     assert res.value is None and res.witness is None and res.checked == (4, 3)
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["F(n,3)", "F'(n,3)"])
+@pytest.mark.parametrize("budget", [0, 1])
+def test_threshold3_stops_at_the_first_nodes(partial, budget):
+    # the root is node 1 and its first child node 2: a budget of 0 or 1
+    # stops the search there, before any full coloring, at every n
+    for n in range(5):
+        res = threshold_F(n, 3, partial, budget=budget)
+        assert res.budget_exhausted, n
+        assert (res.value, res.witness, res.checked) == (None, None, (n, n - 1)), n
+        assert res.details["nodes"] == budget + 1, n
+
+
+def _literal_threshold3(n, partial, budget):
+    """F(n,3) / F'(n,3) by the plain node rule: every child that completes
+    no rainbow triple is entered and ticks a _Counter, the bound is tested
+    on entry, and the triple test walks the sets of one class bit by bit.
+    Returns (max-min, class bitsets, stopped, nodes)."""
+    counter = _Counter(budget)
+    size = 1 << n
+    inc = _cube(n).inc
+    cls = [0, 0, 0]
+    counts = [0, 0, 0]
+    best, best_cls = -1, None
+
+    def place(t, used):
+        nonlocal best, best_cls
+        counter.tick()
+        if t == size:
+            if min(counts) > best:
+                best, best_cls = min(counts), cls[:]
+            return
+        if min(counts) + size - t <= best:
+            return
+        for c in range(min(3, used + 1)):
+            a_bits, b_bits = inc[t] & cls[c - 2], inc[t] & cls[c - 1]
+            while a_bits and not inc[(a_bits & -a_bits).bit_length() - 1] & b_bits:
+                a_bits &= a_bits - 1
+            if a_bits:
+                continue
+            counts[c] += 1
+            cls[c] |= 1 << t
+            place(t + 1, max(used, c + 1))
+            cls[c] ^= 1 << t
+            counts[c] -= 1
+        if partial:
+            place(t + 1, used)
+
+    try:
+        place(0, 0)
+    except BudgetExceeded:
+        return best, best_cls, True, counter.nodes
+    return best, best_cls, False, counter.nodes
+
+
+def test_threshold3_matches_literal_node_rule():
+    # the same tree node for node: incumbent, class bitsets, stop and
+    # node count agree at every budget tried, up to past the full tree
+    def run(n, partial, budget):
+        counter = _Counter(budget)
+        return (*_threshold3(n, partial, counter), counter.nodes)
+
+    for n in range(4):
+        for partial in (False, True):
+            full = _literal_threshold3(n, partial, None)
+            assert run(n, partial, None) == full, (n, partial)
+            for budget in sorted({*range(12), *range(12, full[3] + 9, 1 + full[3] // 25)}):
+                assert run(n, partial, budget) == _literal_threshold3(n, partial, budget), (
+                    n, partial, budget)
+    assert run(4, False, None) == _literal_threshold3(4, False, None)
+    for budget in (0, 1, 2, 3, 7, 40, 333, 2_718, 9_999, 17_500, 31_416, 59_999, 60_000):
+        assert run(4, True, budget) == _literal_threshold3(4, True, budget), budget
 
 
 def test_threshold2_budget_stop_keeps_incumbent():
