@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate, permutations, repeat
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from operator import and_, xor
 from typing import NamedTuple
 
 from .lattice import all_masks, canonical_key, order_rows
+# lubell_interval is not called here; kept because the benchmark traces search.lubell_interval
 from .lubell import binom, lubell_interval
 from .colorings import Coloring, _chain_config_coloring, _rainbow_strong_antichain
 from .posets import PosetPattern, standard_poset, _search_embedding
@@ -900,32 +901,42 @@ def _two_color_pareto_dp(n, pts, blk, seed_best):
         ub = remaining[lvl]
         row = blk[lvl]
         # every child at nxt adds row[nxt] + pts[nxt] in all, then at most
-        # remaining[nxt]: one bound for the four of them, largest first
-        ups = sorted(((row[nxt] + pts[nxt] + remaining[nxt], nxt)
-                      for nxt in range(lvl + 1, n + 1)), reverse=True)
+        # remaining[nxt]: one bound for the children at nxt, largest first,
+        # each with its moves (class-0 gain, class-1 gain, block owner,
+        # point owner) in block-owner-major order; an open block with no
+        # interior has no owner
+        ups = []
+        for up, nxt in sorted(((row[nxt] + pts[nxt] + remaining[nxt], nxt)
+                               for nxt in range(lvl + 1, n + 1)), reverse=True):
+            w = row[nxt]
+            pw = pts[nxt]
+            if w:
+                moves = ((w + pw, zero, 0, 0), (w, pw, 0, 1),
+                         (pw, w, 1, 0), (zero, w + pw, 1, 1))
+            else:
+                moves = ((pw, zero, None, 0), (zero, pw, None, 1))
+            ups.append((up, fronts[nxt], moves, nxt == n))
         for pair in kept:
             a, b = pair
             # adding u in all lifts the min past best only if u > need
             # (min(a, b) + u > best and a + b + u > 2 * best); a transition
             # with up == need is kept, for the pairs with min == best at n
-            need = max(best - min(a, b), 2 * best - a - b)
+            need = best - (a if a < b else b)
+            if 2 * best - a - b > need:
+                need = 2 * best - a - b
             if ub <= need:
                 continue
-            for up, nxt in ups:
+            for up, tgt, moves, last in ups:
                 if up < need:
                     break
-                w = row[nxt]
-                pw = pts[nxt]
-                tgt = fronts[nxt]
-                for blk_to in ((0, 1) if w else (None,)):
-                    for pt_to in (0, 1):
-                        na = a + (w if blk_to == 0 else zero) + (pw if pt_to == 0 else zero)
-                        nb = b + (w if blk_to == 1 else zero) + (pw if pt_to == 1 else zero)
-                        ch = (na, nb)
-                        if ch not in tgt:
-                            tgt[ch] = (lvl, pair, blk_to, pt_to)
-                        if nxt == n and min(ch) > best:
-                            best = min(ch)
+                for ga, gb, blk_to, pt_to in moves:
+                    na = a + ga
+                    nb = b + gb
+                    ch = (na, nb)
+                    if ch not in tgt:
+                        tgt[ch] = (lvl, pair, blk_to, pt_to)
+                    if last and na > best and nb > best:
+                        best = na if na < nb else nb
     arg = None
     for pair in fronts[n]:
         if min(pair) == best and (arg is None or pair < arg):
@@ -942,11 +953,23 @@ def _two_color_pareto_dp(n, pts, blk, seed_best):
     return best, config
 
 
+def _subset_sums(ws, zero):
+    """sums[i]: the total of the ws[j] with bit j of i set."""
+    sums = [zero]
+    for w in ws:
+        sums += [t + w for t in sums]
+    return sums
+
+
 def _seed_three_point(n, pts, blk):
     """Exact value of every one- or two-block chain (0, s, n): a strong
     starting bound for the Pareto DP, on the same weight tables.  At n = 0
     the one-block chain is the single point 0.  Returns (value, chain
-    config), the config None when no chain beats 0."""
+    config), the config None when no chain beats 0.
+
+    Class 1 of a split's coloring holds the blocks and points whose bits
+    are set; its weight is one block subset sum plus one point subset sum,
+    and class 0 has the rest (exact, as the weights are)."""
     zero = pts[0] - pts[0]
     best = zero
     best_cfg = None
@@ -955,16 +978,15 @@ def _seed_three_point(n, pts, blk):
             blocks, levels = ([(0, n)], [0, n]) if n else ([], [0])
         else:
             blocks, levels = [(0, s), (s, n)], [0, s, n]
-        block_ws = [blk[a][b] for (a, b) in blocks]
-        for colors in range(1 << len(blocks)):
-            base = [zero, zero]
-            for i, w in enumerate(block_ws):
-                base[(colors >> i) & 1] += w
-            for pcolors in range(1 << len(levels)):
-                tot = base[:]
-                for i, l in enumerate(levels):
-                    tot[(pcolors >> i) & 1] += pts[l]
-                v = min(tot)
+        block_sums = _subset_sums([blk[a][b] for (a, b) in blocks], zero)
+        point_sums = _subset_sums([pts[l] for l in levels], zero)
+        whole = block_sums[-1] + point_sums[-1]
+        for colors, bs in enumerate(block_sums):
+            for pcolors, ps in enumerate(point_sums):
+                t = bs + ps
+                v = whole - t
+                if t < v:
+                    v = t
                 if v > best:
                     best = v
                     flip = (pcolors >> 0) & 1  # pin the empty set's point to class 0
@@ -975,6 +997,25 @@ def _seed_three_point(n, pts, blk):
                         cfg.append((b, blk_to, owner((pcolors >> (i + 1)) & 1)))
                     best_cfg = cfg
     return best, best_cfg
+
+
+def _mass_tables(n):
+    """(scale, pts, blk): the Lubell masses of the chain points and block
+    interiors of B_n (see _interior_table), each times scale = lcm_l C(n, l).
+
+    Scaled, every mass is an exact integer: a block interior is a sum of
+    C(b-a, i-a) * scale / C(n, i).  Scaling by scale > 0 keeps every
+    comparison, so the DP's front and config are those of the fractions."""
+    scale = lcm(*(binom(n, l) for l in range(n + 1)))
+    pts = [scale // binom(n, l) for l in range(n + 1)]
+
+    def closed(a, b):
+        # lubell_subcube's closed form for levels a..b, times scale; the
+        # floor division is exact, as the product is an integer
+        k = a + n - b
+        return scale * (n + 1) // ((k + 1) * comb(k, a))
+
+    return scale, pts, _interior_table(n, pts, closed)
 
 
 def two_color_partial_exact(n: int, objective: str = "size") -> SearchResult:
@@ -993,18 +1034,7 @@ def two_color_partial_exact(n: int, objective: str = "size") -> SearchResult:
         return SearchResult(f"F'({n},2)", v + 1, "composition-DP", witness,
                             (n, n), details={"max_min": v, "blocks": cfg})
     if objective == "mass":
-        # masses scaled by L = lcm_l C(n, l) are exact integers: a block
-        # interior is a sum of C(b-a, i-a) * L / C(n, i); scaling by L > 0
-        # keeps every comparison, so the front and the config are the same
-        scale = lcm(*(binom(n, l) for l in range(n + 1)))
-        pts = [scale // binom(n, l) for l in range(n + 1)]
-
-        def closed(a, b):
-            # exact: the scaled mass is an integer, so m.denominator | scale
-            m = lubell_interval(n, a, b)
-            return scale // m.denominator * m.numerator
-
-        blk = _interior_table(n, pts, closed)
+        scale, pts, blk = _mass_tables(n)
         seed, seed_cfg = _seed_three_point(n, pts, blk)
         v, cfg = _two_color_pareto_dp(n, pts, blk, seed)
         if cfg is None:
@@ -1019,7 +1049,9 @@ def two_color_partial_exact(n: int, objective: str = "size") -> SearchResult:
 
 def two_color_size_dp_oracle(n: int) -> int:
     """Pareto-DP recomputation of F'(n,2)-1 with size weights (cross-check
-    for the closed composition scan)."""
+    for the closed composition scan).  n < 0 is refused; n = 0 gives 0."""
+    if n < 0:
+        raise SearchError(f"two_color_size_dp_oracle needs n >= 0, got n = {n}")
     pts = [1] * (n + 1)
     blk = _interior_table(n, pts, lambda a, b: 1 << (b - a))
     seed, _ = _seed_three_point(n, pts, blk)
@@ -1082,7 +1114,9 @@ def fork_g_sweep(r_max: int, k: int):
     """fork_g(r, k) for every r = 1..r_max, exact, using monotonicity in r
     (avoidance only gets easier as r grows): n never has to be rescanned,
     and the r at which n is forced form a run, whose end a binary search
-    finds."""
+    finds.  k < 1 is refused, as by fork_g."""
+    if k < 1:
+        raise SearchError("fork_g needs r >= 1 and k >= 1")
     out = [0]
     n = k - 1
     r = 1

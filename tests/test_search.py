@@ -33,6 +33,7 @@ from rainbowramsey.search import (
     _bits_of,
     _cube,
     _interior_table,
+    _mass_tables,
     _max_block_len,
     _Reading,
     _prefix_is_orbit_min,
@@ -221,6 +222,10 @@ def test_size_dp_oracle_matches_threshold_max_min():
     assert _seed_three_point(0, [1], [[0]]) == (0, None)
     for n in range(5):
         assert two_color_size_dp_oracle(n) == threshold_F(n, 2, True).details["max_min"], n
+    # below n = 0 there is no B_n: refused, not an IndexError
+    for n in (-1, -2):
+        with pytest.raises(SearchError, match="needs n >= 0"):
+            two_color_size_dp_oracle(n)
 
 
 def test_two_color_size_witness_valid():
@@ -316,6 +321,146 @@ def test_integer_mass_dp_matches_rational_weights():
         assert (res.value, res.details["chain_config"]) == (v, cfg)
 
 
+def _literal_seed_three_point(n, pts, blk):
+    """The two-block seed scan as first written: per split and coloring,
+    both class weights summed from the blocks and points one by one, and
+    min() of the pair.  Oracle for _seed_three_point's subset-sum scan."""
+    zero = pts[0] - pts[0]
+    best = zero
+    best_cfg = None
+    for s in [None] + list(range(1, n)):
+        if s is None:
+            blocks, levels = ([(0, n)], [0, n]) if n else ([], [0])
+        else:
+            blocks, levels = [(0, s), (s, n)], [0, s, n]
+        block_ws = [blk[a][b] for (a, b) in blocks]
+        for colors in range(1 << len(blocks)):
+            base = [zero, zero]
+            for i, w in enumerate(block_ws):
+                base[(colors >> i) & 1] += w
+            for pcolors in range(1 << len(levels)):
+                tot = base[:]
+                for i, l in enumerate(levels):
+                    tot[(pcolors >> i) & 1] += pts[l]
+                v = min(tot)
+                if v > best:
+                    best = v
+                    flip = (pcolors >> 0) & 1
+                    owner = lambda bit: bit ^ flip
+                    cfg = [(0, None, 0)]
+                    for i, (a, b) in enumerate(blocks):
+                        blk_to = owner((colors >> i) & 1) if b - a >= 2 else None
+                        cfg.append((b, blk_to, owner((pcolors >> (i + 1)) & 1)))
+                    best_cfg = cfg
+    return best, best_cfg
+
+
+def _literal_pareto_dp(n, pts, blk, seed_best):
+    """The Pareto DP with its moves made inside the pair loop: each
+    child's class weights summed from the block and point owners, and
+    min() for the bound and the incumbent.  Oracle for
+    _two_color_pareto_dp's precomputed moves."""
+    zero = pts[0] - pts[0]
+    remaining = [blk[l][n] + pts[n] for l in range(n)] + [zero]
+    best = seed_best
+    fronts = [{(pts[0], zero): None}] + [{} for _ in range(n)]
+    for lvl in range(n):
+        front = fronts[lvl]
+        if not front:
+            continue
+        kept = []
+        hi2 = None
+        for pair in sorted(front, reverse=True):
+            if hi2 is None or pair[1] > hi2:
+                kept.append(pair)
+                hi2 = pair[1]
+        ub = remaining[lvl]
+        row = blk[lvl]
+        ups = sorted(((row[nxt] + pts[nxt] + remaining[nxt], nxt)
+                      for nxt in range(lvl + 1, n + 1)), reverse=True)
+        for pair in kept:
+            a, b = pair
+            need = max(best - min(a, b), 2 * best - a - b)
+            if ub <= need:
+                continue
+            for up, nxt in ups:
+                if up < need:
+                    break
+                w = row[nxt]
+                pw = pts[nxt]
+                tgt = fronts[nxt]
+                for blk_to in ((0, 1) if w else (None,)):
+                    for pt_to in (0, 1):
+                        na = a + (w if blk_to == 0 else zero) + (pw if pt_to == 0 else zero)
+                        nb = b + (w if blk_to == 1 else zero) + (pw if pt_to == 1 else zero)
+                        ch = (na, nb)
+                        if ch not in tgt:
+                            tgt[ch] = (lvl, pair, blk_to, pt_to)
+                        if nxt == n and min(ch) > best:
+                            best = min(ch)
+    arg = None
+    for pair in fronts[n]:
+        if min(pair) == best and (arg is None or pair < arg):
+            arg = pair
+    config = None
+    if arg is not None:
+        steps = []
+        lvl, pair = n, arg
+        while (link := fronts[lvl][pair]) is not None:
+            steps.append((lvl,) + link[2:])
+            lvl, pair = link[:2]
+        steps.reverse()
+        config = [(0, None, 0)] + steps
+    return best, config
+
+
+def _assert_seed_and_dp_match_literal(n, pts, blk, where):
+    seed = _seed_three_point(n, pts, blk)
+    assert seed == _literal_seed_three_point(n, pts, blk), where
+    # from the seed, as the callers run it, and from 0, which stores more
+    for start in (seed[0], pts[0] - pts[0]):
+        got = _two_color_pareto_dp(n, pts, blk, start)
+        assert got == _literal_pareto_dp(n, pts, blk, start), (where, start)
+
+
+def test_seed_and_dp_match_literal_on_random_tables():
+    # level-weight tables, whose completion bound holds, and free tables,
+    # whose bound need not: the same value and config from both either way
+    for seed in range(10):
+        rng = random.Random(seed)
+        for n in range(0, 13):
+            num = (lambda: rng.choice((0, 0, 1, 2, 3, 5, 8))) if seed % 2 else (
+                lambda: Fraction(rng.choice((0, 1, 2, 3, 7)), rng.choice((1, 2, 3, 6))))
+            wt = [num() for _ in range(n + 1)]
+            level_blk = _interior_table(
+                n, wt, lambda a, b: sum(comb(b - a, i - a) * wt[i] for i in range(a, b + 1)))
+            free_blk = [[num() if b - a >= 2 else wt[0] - wt[0] for b in range(n + 1)]
+                        for a in range(n + 1)]
+            for blk in (level_blk, free_blk):
+                _assert_seed_and_dp_match_literal(n, wt, blk, (seed, n, wt, blk))
+
+
+def test_seed_and_dp_match_literal_on_mass_and_size_tables():
+    for n in range(1, 41):
+        _, pts, blk = _mass_tables(n)
+        _assert_seed_and_dp_match_literal(n, pts, blk, ("mass", n))
+    for n in range(0, 41):
+        pts = [1] * (n + 1)
+        blk = _interior_table(n, pts, lambda a, b: 1 << (b - a))
+        _assert_seed_and_dp_match_literal(n, pts, blk, ("size", n))
+
+
+def test_integer_mass_table_matches_fraction_table():
+    # the closed-form integer table against the Fraction masses scaled by
+    # the same lcm, up to n = 63
+    from rainbowramsey.lubell import lubell_interval
+    for n in range(0, 64):
+        scale, pts, blk = _mass_tables(n)
+        assert all(type(w) is int for w in pts + [w for row in blk for w in row]), n
+        assert pts == [scale / Fraction(binom(n, l)) for l in range(n + 1)], n
+        assert blk == _interior_table(n, pts, lambda a, b: lubell_interval(n, a, b) * scale), n
+
+
 def test_fork_g_values():
     assert fork_g(5, 1) == 3
     assert fork_g(3, 2) == 3
@@ -347,6 +492,11 @@ def test_fork_can_avoid_refuses_r_below_one():
             for call in (fork_can_avoid, fork_can_avoid_naive):
                 with pytest.raises(SearchError, match="needs r >= 1"):
                     call(n, r, n + 1)
+    # and the sweep refuses k < 1 as fork_g does, with no silent -1 values
+    for call in (fork_g, fork_g_sweep):
+        for k in (0, -1):
+            with pytest.raises(SearchError, match="fork_g needs r >= 1 and k >= 1"):
+                call(5, k)
 
 
 def test_fork_refused_past_ground_cap():
