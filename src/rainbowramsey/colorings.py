@@ -15,6 +15,8 @@ from operator import itemgetter
 
 from .lattice import (
     Family,
+    _check_ground as _check_family_ground,
+    _json_int,
     all_masks,
     canonical_key,
     full_mask,
@@ -125,11 +127,14 @@ class Coloring:
         if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
             raise ColoringError("COL JSON: colors must be a list of [mask, color] pairs")
         try:
-            n = int(obj["n"])
-            items = [(int(m), int(c)) for m, c in pairs]
+            n = _json_int(obj["n"])
+            items = [(_json_int(m), _json_int(c)) for m, c in pairs]
         except TypeError:
             raise ColoringError("COL JSON: n, masks and colors must be integers") from None
-        return Coloring(n, items, bool(obj["total"]))
+        total = obj["total"]
+        if not isinstance(total, bool):
+            raise ColoringError("COL JSON: total must be true or false")
+        return Coloring(n, items, total)
 
     def to_text(self) -> str:
         lines = [f"n={self.ground} total={1 if self.total else 0}"]
@@ -140,10 +145,11 @@ class Coloring:
     def from_text(text: str) -> "Coloring":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         head = lines[0].split() if lines else []
-        if len(head) != 2 or not head[0].startswith("n=") or not head[1].startswith("total="):
+        if (len(head) != 2 or not head[0].startswith("n=")
+                or head[1] not in ("total=0", "total=1")):
             raise ColoringError("COL v1: header must be 'n=<n> total=<0|1>'")
         n = int(head[0][2:])
-        total = head[1][6:] == "1"
+        total = head[1] == "total=1"
         items = []
         for ln in lines[1:]:
             mask_hex, c = ln.split()
@@ -279,10 +285,19 @@ def validate_witness(col: Coloring, p: PosetPattern, q: PosetPattern,
 _MAX_COLORED = 1 << 20
 
 
-def _check_count(kind, count):
-    if count > _MAX_COLORED:
-        raise ColoringError(f"{kind} would color {count} sets, more than the "
-                            f"{_MAX_COLORED} a construction may color")
+def _check_count(kind, top, count):
+    """Refuse a construction whose count() sets are more than _MAX_COLORED,
+    given 2^top <= count().  Past top = 64 the exponent alone decides and
+    count(), an integer of about top bits, is not built; a count past 2^64
+    is written as a power of two."""
+    if top <= 64:
+        count = count()
+        if count <= _MAX_COLORED:
+            return
+        top = count.bit_length() - 1
+    size = count if top < 64 else f"at least 2^{top}"
+    raise ColoringError(f"{kind} would color {size} sets, more than the "
+                        f"{_MAX_COLORED} a construction may color")
 
 
 def _check_ground(n):
@@ -323,23 +338,23 @@ def consecutive_level_coloring(n: int, parts) -> Coloring:
     parts = list(parts)
     if any(p < 1 for p in parts) or sum(parts) != n + 1:
         raise ColoringError(f"parts must be positive and sum to n+1, got {parts}")
-    _check_count("consecutive-level", 1 << n)
+    _check_count("consecutive-level", n, lambda: 1 << n)
     return _level_blocks(n, parts)
 
 
 def trace_coloring(n: int, r_mask: int) -> Coloring:
     """phi(F) = |F intersect R|."""
     _check_ground(n)
-    if r_mask & ~full_mask(n):
+    if r_mask >> n:
         raise ColoringError("trace set outside ground")
-    _check_count("trace", 1 << n)
+    _check_count("trace", n, lambda: 1 << n)
     return Coloring(n, [(m, (m & r_mask).bit_count()) for m in all_masks(n)], total=True)
 
 
 def level_coloring(n: int) -> Coloring:
     """The trivial coloring phi(F) = |F|."""
     _check_ground(n)
-    _check_count("level", 1 << n)
+    _check_count("level", n, lambda: 1 << n)
     return _level_blocks(n, [1] * (n + 1))
 
 
@@ -358,7 +373,7 @@ def rr_lower_coloring(e: int, q: int, f_tweak: int = 0) -> Coloring:
     n = e * (q - 1) + f_tweak - 1
     if n < 1:
         raise ColoringError("rr-lower needs e*(q-1)+f_tweak >= 2")
-    _check_count("rr-lower", 1 << n)
+    _check_count("rr-lower", n, lambda: 1 << n)
     # the empty set, and for f_tweak = 2 the full set, alone in a level block
     return _level_blocks(n, [1] * (f_tweak >= 1) + [e] * (q - 1) + [1] * (f_tweak == 2))
 
@@ -373,7 +388,7 @@ def f2_lower_coloring(n: int) -> Coloring:
     if n < 2 or (n % 2 == 1 and n < 5):
         raise ColoringError(f"f2-lower needs even n >= 2 or odd n >= 5, got {n}")
     # the downset of S and the upset of S less S, with [n] moved for odd n
-    _check_count("f2-lower", (1 << n // 2) + (1 << n - n // 2) - 1)
+    _check_count("f2-lower", n - n // 2, lambda: (1 << n // 2) + (1 << n - n // 2) - 1)
     return _chain_config_coloring(n, [(0, None, 0), (n // 2, 0, 0), (n, 1, 1 - n % 2)])
 
 
@@ -388,7 +403,7 @@ def g2_lower_coloring(n: int) -> Coloring:
     h = isqrt(n * n // 2)
     assert 2 * h * h <= n * n < 2 * (h + 1) * (h + 1)
     # the empty set, the upset of H and the rest of the downset of H
-    _check_count("g2-lower", (1 << n - h) + (1 << h) - 1)
+    _check_count("g2-lower", h, lambda: (1 << n - h) + (1 << h) - 1)
     return _chain_config_coloring(n, [(0, None, 0), (h, 1, 0), (n, 0, 0)])
 
 
@@ -425,7 +440,8 @@ def fk_random_coloring(n: int, k: int, seed: int, max_draws: int = 10000):
     if size > n:
         raise ColoringError(f"center size {size} exceeds n={n}")
     # at most each center's downset and punctured upset
-    _check_count("fk-random", (k - 1) * ((1 << size) + (1 << n - size) - 1))
+    _check_count("fk-random", max(size, n - size),
+                 lambda: (k - 1) * ((1 << size) + (1 << n - size) - 1))
     cap = (26 * n) // 100  # |F_i & F_j| <= 0.26 n, resolved in integers
     rng = _random.Random(seed)
     centers = []
@@ -514,6 +530,7 @@ def thin_antichain(n: int) -> Family:
     """
     if n < 4:
         raise ColoringError("thin_antichain needs n >= 4")
+    _check_family_ground(n)   # before the induction's n-bit masks
     m = 4 if n % 2 == 0 else 5
     pool = Family.make(m, (x for x in all_masks(m) if 1 <= x.bit_count() <= m - 2))
     base = find_copy(pool, standard_poset("antichain", m - 2), "strong", thin=True)

@@ -127,6 +127,14 @@ def _check_ground(n: int):
         raise LatticeError(f"ground size {n} outside [0, {MAX_GROUND}]")
 
 
+def _json_int(value):
+    """value, when JSON gave an integer; a float, bool, string or null,
+    which int() would truncate or parse, raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
@@ -201,8 +209,8 @@ class Family:
         if not isinstance(obj["sets"], list):
             raise LatticeError("FAM JSON: sets must be a list of masks")
         try:
-            n = int(obj["n"])
-            sets = [int(m) for m in obj["sets"]]
+            n = _json_int(obj["n"])
+            sets = [_json_int(m) for m in obj["sets"]]
         except TypeError:
             raise LatticeError("FAM JSON: n and the sets must be integers") from None
         return Family.make(n, sets)

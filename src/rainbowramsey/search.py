@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate, permutations, repeat
 from math import comb, factorial, lcm
-from operator import and_, xor
+from operator import and_
 from typing import NamedTuple
 
 from .lattice import all_masks, canonical_key, order_rows
@@ -182,7 +182,7 @@ def _perm_position_maps(n):
     bitset whose bit k is the k-th of itertools.permutations(range(n)), so
     bit 0 is the identity.  For a fixed k the sets cols[p][k] over the p of
     one level partition all n! permutations, so the permutations reading a
-    color at position lo + k are the XOR of cols[p][k] over the sets p of
+    color at position lo + k are the OR of cols[p][k] over the sets p of
     that color.
 
     Built from the n^2 element sets "sigma(a) = b": sigma(A) = B exactly
@@ -221,43 +221,7 @@ def _perm_position_maps(n):
     return cols
 
 
-class _Reading:
-    """The reading sets of the orbit test for one level lo..hi-1 of a
-    search (see _prefix_is_orbit_min): sets[c][k] holds the permutations
-    sending masks[lo + k] to a set colored c, for each color c of the
-    level but its first (the first color's sets are what the others
-    leave) and each k below known.  The search flips a set's column in
-    when it colors the set and out when it uncolors it, over the known
-    positions only; the orbit test makes a position known when it first
-    reaches it, so a level whose tests stop early keeps few."""
-
-    __slots__ = ("cols", "lo", "sets", "known")
-
-    def __init__(self, cols, lo):
-        self.cols = cols   # _perm_position_maps(n)
-        self.lo = lo
-        self.sets = {}
-        self.known = 0
-
-    def flip(self, p, c):
-        """Put color c on the set at position p, or take it off."""
-        old = self.sets.get(c)
-        self.sets[c] = list(map(xor, old, self.cols[p])) if old else list(self.cols[p][:self.known])
-
-    def reach(self, assign):
-        """Make the next position known, from the coloring assign of the
-        whole level."""
-        k = self.known
-        first = assign[self.lo]
-        for row in self.sets.values():
-            row.append(0)
-        for p in range(self.lo, self.lo + len(self.cols[self.lo])):
-            if assign[p] != first:
-                self.sets[assign[p]][k] |= self.cols[p][k]
-        self.known = k + 1
-
-
-def _prefix_is_orbit_min(assign, t, tied, reading, ties_out):
+def _prefix_is_orbit_min(assign, t, tied, cols, ties_out):
     """True iff the length-t prefix is lexicographically minimal in its
     permutation orbit (colors renamed first-seen when the classes carry a
     renaming, in which case assign is restricted-growth and so its own
@@ -268,12 +232,11 @@ def _prefix_is_orbit_min(assign, t, tied, reading, ties_out):
     the prefix through s; every other permutation is larger before s and
     stays larger.  A class is a pair (cmap, bits): a bitset of such
     permutations that share one color renaming cmap (None when colors are
-    not renamed).  reading is the level's _Reading: for each color c of
-    the level but assign[s], the permutations reading c at position s + k,
-    the ones sending masks[s + k] to a set colored c, for the positions
-    it knows, which the test extends as it goes (a color no longer on the
-    level may map to empty sets); assign[s]'s color is read by all the
-    others.  reading is None when the tied set is the identity alone.
+    not renamed).  cols is _perm_position_maps(n): the permutations
+    reading color c at position s + k, the ones sending masks[s + k] to a
+    set colored c, are the OR of cols[p][k] over the level's positions p
+    colored c, built when the test reaches k; assign[s]'s color is read
+    by all the others.
 
     At each position i from s on the permutations split by the color
     they read.  A permutation reading a label below the prefix's is
@@ -293,18 +256,27 @@ def _prefix_is_orbit_min(assign, t, tied, reading, ties_out):
         return True
     level = assign[s:t]
     first = level[0]
-    others = [(c, reading.sets[c]) for c in sorted(set(level)) if c != first]
+    # the level's columns by color, the first color's left out
+    columns = {}
+    for c, col in zip(level, cols[s:t]):
+        if c != first:
+            columns.setdefault(c, []).append(col)
+    others = sorted(columns.items())
     for k, b in enumerate(level):
-        if k == reading.known:
-            reading.reach(assign)
+        reads = []
+        for c, group in others:
+            read = 0
+            for col in group:
+                read |= col[k]
+            reads.append((c, read))
         kept = []
         for cmap, live in classes:
             # hits: the permutations of the class reading label b, by color
             # in color order; those reading the first color are the rest
             rest = live
             hits = []
-            for c, sets in others:
-                both = sets[k] & live
+            for c, read in reads:
+                both = read & live
                 if both:
                     rest ^= both
                     label = c if cmap is None else cmap.get(c, len(cmap))
@@ -415,12 +387,6 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
     looked for.  The search runs on an explicit stack: position t of the
     canonical order is depth t.
 
-    With symmetry, each level keeps the reading sets of the orbit test
-    (a _Reading) current as its sets are colored: coloring a set with a
-    color other than the level's first XORs the set's column of
-    _perm_position_maps into that color's sets, and undoing the color
-    XORs it out.  A level whose tied set is the identity alone keeps none.
-
     A refusal of the orbit test is remembered until it can change.  A
     permutation sigma that refuses the prefix at level end t, first at
     position i, does so because of the prefix's labels through i,
@@ -443,16 +409,14 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
     starts = sorted(ends)
     level_start = [lo for lo, hi in zip([0] + starts, starts) for _ in range(lo, hi)]
     # by a level's first position s: the orbit-test ties handed to the
-    # level, (s, classes), and its reading sets, None where none are kept
+    # level, (s, classes)
     tied = [None] * total
-    reading = [None] * total
     # the standing refusal: its level end and the last position it reads
     refused_end = refused_last = -1
     if use_sym:
         # every permutation ties on the empty prefix, under no renaming yet
         tied[0] = (0, [({} if rename else None, (1 << factorial(n)) - 1)])
         cols = _perm_position_maps(n)
-        reading[0] = _Reading(cols, 0)
         where = {m: i for i, m in enumerate(masks)}
 
     if q is not None:
@@ -510,9 +474,8 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
             elif use_sym and t in ends:
                 ties = []
                 s = level_start[t - 1]
-                if _prefix_is_orbit_min(assign, t, tied[s], reading[s], ties):
+                if _prefix_is_orbit_min(assign, t, tied[s], cols, ties):
                     tied[t] = (t, ties)
-                    reading[t] = None if len(ties) == 1 and ties[0][1] == 1 else _Reading(cols, t)
                 else:
                     c = limit
                     refused_end, refused_last = t, _last_read(masks, where, s, ties[0])
@@ -528,10 +491,6 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
         if c <= top:
             assign[t] = c
             used[t + 1] = max(used[t], c)
-            s = level_start[t]
-            sets = reading[s]
-            if sets is not None and c != assign[s]:
-                sets.flip(t, c)
             t += 1
             c = None
             continue
@@ -542,10 +501,6 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
             refused_end = refused_last = -1
         c = assign[t]
         classes[c].remove(masks[t])
-        s = level_start[t]
-        sets = reading[s]
-        if sets is not None and c != assign[s]:
-            sets.flip(t, c)
         c += 1
 
 
@@ -554,9 +509,7 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
 # permutations, one tuple over its level per set of B_8, about 63 MiB;
 # n = 9's would hold 48,620 sets of 362,880, about 2.1 GiB), so a search
 # still undecided at this n is refused before the next n's tables are
-# built.  The reading sets a search keeps on top hold, for each color of
-# a level but its first, at most one set per position: at n = 8, 256 sets
-# of 40,320 bits, about 1.2 MiB, per color.
+# built.
 _N_CAP_MAX = 8
 
 

@@ -227,7 +227,19 @@ def test_malformed_input_files_are_errors(tmp_path, capsys):
              ("coloring", '{"n": 2, "colors": [[null, 0]], "total": false}'),
              ("coloring", '{"result": 5}'), ("coloring", '{"result": {"coloring": 5}}'),
              ("family", '{"n": 2, "sets": 5}'), ("family", ""),
-             ("family", '{"n": null, "sets": [1]}')]
+             ("family", '{"n": null, "sets": [1]}'),
+             # a float, bool or string where an integer is expected, a
+             # total that is not a JSON boolean or a COL v1 total= other
+             # than 0 or 1, none read as the integer or boolean it resembles
+             ("coloring", '{"n": 2.9, "total": false, "colors": [[1.7, 0], [2, 1]]}'),
+             ("coloring", '{"n": 2, "total": false, "colors": [[1, 0.5]]}'),
+             ("coloring", '{"n": 2, "total": false, "colors": [[true, 0]]}'),
+             ("coloring", '{"n": "2", "total": false, "colors": [[1, 0]]}'),
+             ("coloring", '{"n": 1, "total": "no", "colors": [[0, 0], [1, 0]]}'),
+             ("coloring", '{"n": 1, "total": 1, "colors": [[0, 0], [1, 0]]}'),
+             ("coloring", "n=1 total=yes\n0 0\n1 0\n"),
+             ("family", '{"n": 3.99, "sets": [7.5]}'), ("family", '{"n": 3, "sets": [true]}'),
+             ("family", '{"n": 3, "sets": ["7"]}')]
     for kind, text in cases:
         path.write_text(text)
         if kind == "coloring":
@@ -347,6 +359,14 @@ def test_coloring_gen_capped_before_enumerating(capsys, monkeypatch):
         for n in ("70", "30"):
             assert main(["coloring", "gen", "--kind", "level", "--n", n]) == 1
             assert "more than the 1048576" in capsys.readouterr().err
+        # counts of more than 4,300 digits, which Python refuses to print
+        for argv in (["--kind", "level", "--n", "20000"], ["--kind", "g2-lower", "--n", "100000"],
+                     ["--kind", "fk-random", "--n", "100000", "--k", "3", "--seed", "1"],
+                     ["--kind", "rr-lower", "--e", "5000", "--q", "3"]):
+            assert main(["coloring", "gen", *argv]) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "more than the 1048576" in err, argv
+            assert len(err) < 200, argv
     code, out = run_cli(capsys, "coloring", "gen", "--kind", "g2-lower", "--n", "20")
     assert code == 0 and sum(json.loads(out)["result"]["classes"]) == 16_447
 

@@ -7,6 +7,7 @@ import pytest
 
 from rainbowramsey.lattice import (
     Family,
+    LatticeError,
     all_masks,
     are_comparable,
     canonical_key,
@@ -152,23 +153,38 @@ def test_constructions_capped_before_enumerating(monkeypatch):
     # more than 2^20 before any set is enumerated
     from rainbowramsey import colorings
 
-    def enumerated(*args):
+    def enumerated(*args, **kwargs):
         raise AssertionError("sets enumerated")
 
-    for name in ("all_masks", "submasks", "supermasks"):
+    for name in ("all_masks", "submasks", "supermasks", "find_copy"):
         monkeypatch.setattr(colorings, name, enumerated)
     refused = [lambda: level_coloring(21), lambda: level_coloring(70),
                lambda: consecutive_level_coloring(21, [11, 11]),
                lambda: trace_coloring(25, 0b101), lambda: rr_lower_coloring(21, 2, 1),
                lambda: f2_lower_coloring(39), lambda: g2_lower_coloring(29),
-               lambda: g2_lower_coloring(36), lambda: fk_random_coloring(40, 3, seed=1)]
+               lambda: g2_lower_coloring(36), lambda: fk_random_coloring(40, 3, seed=1),
+               # counts past 2^64, more than 4,300 digits for the larger ones
+               lambda: f2_lower_coloring(10**6), lambda: g2_lower_coloring(100_000),
+               lambda: fk_random_coloring(100_000, 3, seed=1), lambda: rr_lower_coloring(5000, 3)]
     for build in refused:
         with pytest.raises(ColoringError, match="more than the 1048576"):
             build()
+    # a count past 2^64 is written as a power of two, one below as it is
+    with pytest.raises(ColoringError, match=r"^level would color 2097152 sets"):
+        level_coloring(21)
+    with pytest.raises(ColoringError, match=r"^f2-lower would color at least 2\^500000 sets"):
+        f2_lower_coloring(10**6)
+    with pytest.raises(ColoringError, match=r"^fk-random would color at least 2\^92 sets"):
+        fk_random_coloring(64, 2**40 + 1, seed=1)
+    # a thin antichain past a ground of 63 is refused as Family.make
+    # refuses it, before its base is searched and its masks grow
+    for n in (64, 200_000):
+        with pytest.raises(LatticeError, match=f"^ground size {n} outside"):
+            thin_antichain(n)
     # the largest admitted ones reach the enumeration
     admitted = [lambda: level_coloring(20), lambda: rr_lower_coloring(20, 2, 1),
                 lambda: f2_lower_coloring(38), lambda: g2_lower_coloring(28),
-                lambda: fk_random_coloring(30, 3, seed=1)]
+                lambda: fk_random_coloring(30, 3, seed=1), lambda: thin_antichain(63)]
     for build in admitted:
         with pytest.raises(AssertionError, match="sets enumerated"):
             build()

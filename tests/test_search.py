@@ -35,7 +35,7 @@ from rainbowramsey.search import (
     _interior_table,
     _mass_tables,
     _max_block_len,
-    _Reading,
+    _perm_position_maps,
     _prefix_is_orbit_min,
     _rainbow_pair,
     _seed_three_point,
@@ -844,29 +844,6 @@ def _literal_sends(perm_positions):
     return sends
 
 
-def _literal_reading(sends, assign, s, t):
-    """The reading sets of the orbit test for the level s..t-1: each color
-    of the level other than assign[s] maps to the list over the level's
-    positions i of the permutations taking masks[i] to a set of that
-    color."""
-    reading = {}
-    for p in range(s, t):
-        if assign[p] != assign[s]:
-            sets = reading.setdefault(assign[p], [0] * (t - s))
-            for k in range(t - s):
-                sets[k] |= sends[s + k][p]
-    return reading
-
-
-def _known_reading(sends, assign, s, t):
-    """A _Reading of the level s..t-1 that knows all its positions, its
-    sets from _literal_reading."""
-    reading = _Reading(None, s)
-    reading.sets = _literal_reading(sends, assign, s, t)
-    reading.known = t - s
-    return reading
-
-
 def _orbit_oracle(perm_positions, assign, t, rename):
     """(minimal, ties): the length-t prefix against every permuted prefix,
     colors renamed first-seen when rename is set; ties maps the index of
@@ -911,6 +888,10 @@ def test_orbit_test_matches_literal_oracle():
         sends = _literal_sends(perm_positions)
         size = 1 << n
         ends = [sum(comb(n, l) for l in range(j + 1)) for j in range(n + 1)]
+        # cols[p][k]: the permutations taking the k-th set of p's level to p
+        cols = [tuple(sends[lo + k][p] for k in range(hi - lo))
+                for lo, hi in zip([0] + ends, ends) for p in range(lo, hi)]
+        assert cols == _perm_position_maps(n)
         for rename in (True, False):
             for trial in range(10):
                 k = rng.randint(2, 4)
@@ -932,8 +913,7 @@ def test_orbit_test_matches_literal_oracle():
                 tied = (0, [({} if rename else None, (1 << factorial(n)) - 1)])
                 for t in ends:
                     ties = []
-                    reading = _known_reading(sends, assign, tied[0], t)
-                    got = _prefix_is_orbit_min(assign, t, tied, reading, ties)
+                    got = _prefix_is_orbit_min(assign, t, tied, cols, ties)
                     minimal, expect = _orbit_oracle(perm_positions, assign, t, rename)
                     assert got == minimal, (n, rename, assign, t)
                     if not got:
@@ -949,55 +929,6 @@ def test_orbit_test_matches_literal_oracle():
                     assert set(_bits_of(union)) == set(expect), (n, rename, assign, t)
                     tied = (t, ties)
     assert rejected > 20 and deep > 10
-
-
-def test_orbit_reading_sets_match_recomputed(monkeypatch):
-    # at every orbit test the reading sets _avoiding kept current through
-    # colorings and backtracks equal ones recomputed from the coloring, on
-    # the positions known before the test and on those it made known: each
-    # color of the level but the first maps to its sets, any other color
-    # to empty ones, and none are kept where the identity alone is tied;
-    # n = 4 to 6, colors renamed (identical patterns) and not
-    from rainbowramsey import search
-    sends = {n: _literal_sends(_literal_perm_positions(n)) for n in range(4, 7)}
-    seen = dict.fromkeys(["calls", "kept", "stale", "rejected", "reached"], 0)
-    inner = search._prefix_is_orbit_min
-
-    def same(reading, assign, s, t):
-        expect = _literal_reading(sends[len(assign).bit_length() - 1], assign, s, t)
-        expect = {c: sets[:reading.known] for c, sets in expect.items() if reading.known}
-        got = {c: sets for c, sets in reading.sets.items() if any(sets)}
-        assert got == expect, (assign, t, reading.known)
-        return len(reading.sets) - len(got)
-
-    def checked(assign, t, tied, reading, ties_out):
-        seen["calls"] += 1
-        s, classes = tied
-        if reading is None:
-            assert len(classes) == 1 and classes[0][1] == 1
-            return inner(assign, t, tied, reading, ties_out)
-        seen["kept"] += 1
-        seen["stale"] += same(reading, assign, s, t)
-        known = reading.known
-        minimal = inner(assign, t, tied, reading, ties_out)
-        seen["reached"] += reading.known - known
-        same(reading, assign, s, t)
-        seen["rejected"] += not minimal
-        return minimal
-
-    monkeypatch.setattr(search, "_prefix_is_orbit_min", checked)
-    for run in (lambda: ramsey([C3, C4], "weak", 5),
-                lambda: ramsey([C4, standard_poset("chain", 5)], "weak", 6, budget=1500),
-                lambda: ramsey([C3, C3, C3], "weak", 6, budget=800),
-                lambda: rainbow_ramsey(C2, A3, "strong", 5),
-                lambda: rainbow_ramsey(V2, A3, "strong", 5),
-                lambda: rainbow_ramsey(C2, A4, "strong", 6, budget=3000),
-                # colorful levels: the identity alone ties
-                lambda: rainbow_ramsey(C2, standard_poset("chain", 5), "weak", 5, budget=3000)):
-        run()
-    assert seen["kept"] > 1000 and seen["rejected"] > 500 and seen["reached"] > 100
-    # some levels kept no sets, and some colors left a level on a backtrack
-    assert seen["calls"] > seen["kept"] and seen["stale"] > 0
 
 
 def _on_memo_refusals(monkeypatch, seen):
@@ -1037,7 +968,7 @@ def test_orbit_refusal_memo_is_sound(monkeypatch):
         t, assign = state["t"], state["assign"]
         s = state["level_start"][t - 1]
         refusal = []
-        assert inner(assign, t, state["tied"][s], state["reading"][s], refusal) is False
+        assert inner(assign, t, state["tied"][s], state["cols"], refusal) is False
         # at or before the last position the remembered refusal reads
         assert refusal[0][0] <= state["refused_last"]
 
