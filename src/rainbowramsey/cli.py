@@ -111,6 +111,8 @@ def _cmd_threshold(args):
 
 def _cmd_two_color(args):
     if args.sweep is not None:
+        if args.sweep < args.n:
+            raise _UsageError(f"--sweep must be >= --n ({args.n}), got {args.sweep}")
         rows = []
         for n in range(args.n, args.sweep + 1):
             res = two_color_partial_exact(n, args.objective)
@@ -166,19 +168,36 @@ def _cmd_corechain(args):
     return body, [body], 0
 
 
+# the flags each coloring gen kind reads, with their defaults; a flag the
+# kind does not read is refused
+_GEN_FLAGS = {
+    "consecutive-level": {"n": 0, "parts": None},
+    "trace": {"n": 0, "r_set": None},
+    "level": {"n": 0},
+    "rr-lower": {"e": 1, "q": 2, "f_tweak": 0},
+    "f2-lower": {"n": 0},
+    "g2-lower": {"n": 0},
+    "fk-random": {"n": 0, "k": 2},
+}
+_GEN_OPTIONS = list(dict.fromkeys(name for flags in _GEN_FLAGS.values() for name in flags))
+
+
 def _cmd_coloring_gen(args):
-    params = {"n": args.n}
+    reads = _GEN_FLAGS[args.kind]
+    stray = [f"--{name.replace('_', '-')}" for name in _GEN_OPTIONS
+             if name not in reads and getattr(args, name) is not None]
+    if stray:
+        raise _UsageError(f"--kind {args.kind} does not read {', '.join(stray)}")
+    params = {name: default if getattr(args, name) is None else getattr(args, name)
+              for name, default in reads.items()}
     if args.kind == "consecutive-level":
-        if args.parts is None:
+        if params["parts"] is None:
             raise _UsageError("--kind consecutive-level needs --parts")
-        params["parts"] = [int(x) for x in args.parts.split(",")]
+        params["parts"] = [int(x) for x in params["parts"].split(",")]
     elif args.kind == "trace":
-        elems = [int(x) for x in args.r_set.split(",")] if args.r_set else []
-        params["r_mask"] = mask_from_elements(elems, args.n)
-    elif args.kind == "rr-lower":
-        params.update(e=args.e, q=args.q, f_tweak=args.f_tweak)
-    elif args.kind == "fk-random":
-        params["k"] = args.k
+        r_set = params.pop("r_set")
+        elems = [int(x) for x in r_set.split(",")] if r_set else []
+        params["r_mask"] = mask_from_elements(elems, params["n"])
     out = generate(args.kind, params, seed=args.seed)
     col = out[0] if isinstance(out, tuple) else out
     body = {"coloring": json.loads(col.to_json()), "kind": args.kind,
@@ -303,16 +322,15 @@ def _build_parser():
     p = sub.add_parser("coloring", parents=[])
     csub = p.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     g = csub.add_parser("gen", parents=[common])
-    g.add_argument("--kind", required=True,
-                   choices=("consecutive-level", "trace", "level", "rr-lower",
-                            "f2-lower", "g2-lower", "fk-random"))
-    g.add_argument("--n", type=int, default=0)
+    g.add_argument("--kind", required=True, choices=tuple(_GEN_FLAGS))
+    # no defaults here: the kinds that read these flags fill them in
+    g.add_argument("--n", type=int, help="every kind but rr-lower (default 0)")
     g.add_argument("--parts", help="comma-separated block lengths (consecutive-level)")
     g.add_argument("--r-set", help="comma-separated elements of R (trace)")
-    g.add_argument("--e", type=int, default=1)
-    g.add_argument("--q", type=int, default=2)
-    g.add_argument("--f-tweak", type=int, default=0)
-    g.add_argument("--k", type=int, default=2)
+    g.add_argument("--e", type=int, help="rr-lower (default 1)")
+    g.add_argument("--q", type=int, help="rr-lower (default 2)")
+    g.add_argument("--f-tweak", type=int, help="rr-lower (default 0)")
+    g.add_argument("--k", type=int, help="fk-random (default 2)")
     g.set_defaults(handler=_cmd_coloring_gen)
     c = csub.add_parser("check", parents=[common])
     c.add_argument("--coloring", default="-", help="COL v1 / JSON coloring file, - for stdin")

@@ -161,15 +161,16 @@ class Coloring:
 # pattern checkers
 # ---------------------------------------------------------------------------
 
-def _rainbow_strong_antichain(classes, inc_row, k):
-    """k pairwise-incomparable positions from k distinct classes, or None.
+def _rainbow_strong_antichain(classes, row, k):
+    """k pairwise related positions from k distinct classes, or None.
 
     classes is a list of nonempty bitsets of positions, one per color in
-    color order; inc_row(i) is the bitset of the positions incomparable to
-    position i.  Color-major backtracking, scarcest class first (ties in
-    color order; one candidate per chosen class, classes skippable within
-    the slack #classes - k); the search is deterministic and exhaustive,
-    so None is a proof of absence.  The candidates for a class are the set
+    color order; row(i) is the bitset of the positions related to
+    position i: incomparable to it for a rainbow antichain, comparable to
+    it for a rainbow chain.  Color-major backtracking, scarcest class
+    first (ties in color order; one candidate per chosen class, classes
+    skippable within the slack #classes - k); the search is deterministic
+    and exhaustive, so None is a proof of absence.  The candidates for a class are the set
     bits of allowed & class, lowest first, and the last class takes the
     lowest one.  Returns the chosen positions in the order chosen.
     """
@@ -193,7 +194,7 @@ def _rainbow_strong_antichain(classes, inc_row, k):
             cand ^= low
             i = low.bit_length() - 1
             chosen.append(i)
-            if rec(pos + 1, allowed & inc_row(i), skips_left):
+            if rec(pos + 1, allowed & row(i), skips_left):
                 return True
             chosen.pop()
         if skips_left > 0 and rec(pos + 1, allowed, skips_left - 1):

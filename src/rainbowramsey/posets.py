@@ -106,12 +106,28 @@ def _pattern_from_strict(k: int, strict_pairs) -> PosetPattern:
     return PosetPattern(k, tuple(tuple(row) for row in leq))
 
 
+# the elements of each named pattern besides its parameter's
+_EXTRA_ELEMENTS = {"chain": 0, "antichain": 0, "fork": 1, "broom": 1, "gen-diamond": 2}
+# the largest named pattern: building one takes memory quadratic in its
+# size (time cubic for a chain), and a B_8, the largest cube a search
+# reaches, holds 256 sets
+_PATTERN_SIZE_MAX = 256
+
+
 def standard_poset(kind: str, param: int) -> PosetPattern:
     """Named patterns: chain C_l, antichain A_k, fork V_r, broom L_s, gen-diamond D_k.
 
     The fork V_r is one bottom below r incomparable tops; the broom L_s is
-    s incomparable bottoms below one top; D_k is a < b_1..b_k < c.
+    s incomparable bottoms below one top; D_k is a < b_1..b_k < c.  A
+    pattern of more than _PATTERN_SIZE_MAX elements is refused before it
+    is built.
     """
+    if kind not in _EXTRA_ELEMENTS:
+        raise PosetError(f"unknown standard poset kind {kind!r}")
+    size = param + _EXTRA_ELEMENTS[kind]
+    if size > _PATTERN_SIZE_MAX:
+        raise PosetError(f"a {kind} of {size} elements is refused: "
+                         f"patterns have at most {_PATTERN_SIZE_MAX}")
     if kind == "chain":
         if param < 1:
             raise PosetError("chain needs size >= 1")
@@ -128,13 +144,12 @@ def standard_poset(kind: str, param: int) -> PosetPattern:
         if param < 2:
             raise PosetError("broom L_s needs s >= 2")
         return _pattern_from_strict(param + 1, ((i, param) for i in range(param)))
-    if kind == "gen-diamond":
-        if param < 2:
-            raise PosetError("generalized diamond D_k needs k >= 2")
-        pairs = [(0, i) for i in range(1, param + 1)]
-        pairs += [(i, param + 1) for i in range(1, param + 1)]
-        return _pattern_from_strict(param + 2, pairs)
-    raise PosetError(f"unknown standard poset kind {kind!r}")
+    # the generalized diamond
+    if param < 2:
+        raise PosetError("generalized diamond D_k needs k >= 2")
+    pairs = [(0, i) for i in range(1, param + 1)]
+    pairs += [(i, param + 1) for i in range(1, param + 1)]
+    return _pattern_from_strict(param + 2, pairs)
 
 
 _NAME_RE = re.compile(r"^([CAVLD])(\d+)$")

@@ -421,45 +421,34 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
 
     if q is not None:
         q_size = q.size
-        q_antichain = q.is_antichain()
-        # a chain q of size >= 2 (size 1 is an antichain) is looked for
-        # below the newest set
-        q_shorter = standard_poset("chain", q_size - 1) if q.is_chain() and q_size > 1 else None
+        weak_antichain = mode == "weak" and q.is_antichain()
+        # a new rainbow chain or strong antichain through x is x and q_size - 1
+        # sets of window[x], from classes other than x's, pairwise related
+        # by rows: x tops any new chain (no colored set lies above it), and a
+        # weak copy of a chain is a chain
+        window = rows = None
+        if q.is_antichain():
+            window = rows = inc
+        elif q.is_chain():
+            window, rows = below, [b | a for b, a in zip(below, above)]
         color_of = [None] * (1 << n)
-        # the residual of a strong A3 or a C3 through x is two sets from two
-        # classes other than x's: _rainbow_pair looks for it in one pass
-        pair = q_size == 3
-        comparable = [b | a for b, a in zip(below, above)] if pair and q_shorter else None
 
         def rainbow_through(t, x, c):
             """Color x with c; True when that completes a rainbow q."""
             color_of[x] = c
             if max(used[t], c) + 1 < q_size:
                 return False
-            if q_antichain:
-                if mode == "weak":
-                    return True  # q_size distinct colors suffice for a weak antichain copy
-                # a new copy goes through x: a rainbow strong A_{q-1} among
-                # the colored sets incomparable to x, in the other classes
-                inc_x = inc[x]
-                if pair:
-                    return _rainbow_pair(classes, used[t] + 1, c, inc_x, inc)
-                others = [b for d in range(used[t] + 1)
-                          if d != c and (b := classes[d].bits & inc_x)]
-                return _rainbow_strong_antichain(others, inc.__getitem__,
-                                                 q_size - 1) is not None
-            if q_shorter is not None:
-                # x tops any new copy (no colored set lies above it): a
-                # rainbow C_{l-1} among the strict subsets of x outside x's
-                # class, all colored since they precede x
-                below_x = below[x]
-                if pair:
-                    return _rainbow_pair(classes, used[t] + 1, c, below_x, comparable)
-                cand = below_x & ~classes[c].bits
-                return _search_embedding(tuple(_bits_of(cand)), q_shorter, "weak", False,
+            if weak_antichain:
+                return True  # q_size distinct colors suffice for a weak antichain copy
+            if window is None:
+                return _search_embedding(tuple(masks[:t + 1]), q, mode, False,
                                          color_of=color_of.__getitem__) is not None
-            return _search_embedding(tuple(masks[:t + 1]), q, mode, False,
-                                     color_of=color_of.__getitem__) is not None
+            window_x = window[x]
+            if q_size == 3:   # two sets: one pass over the class bitsets
+                return _rainbow_pair(classes, used[t] + 1, c, window_x, rows)
+            others = [b for d in range(used[t] + 1)
+                      if d != c and (b := classes[d].bits & window_x)]
+            return _rainbow_strong_antichain(others, rows.__getitem__, q_size - 1) is not None
 
     t = 0
     c = None   # the next color to try at t; None on arrival at t

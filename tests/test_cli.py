@@ -3,7 +3,7 @@ import json
 import warnings
 from math import comb
 
-from rainbowramsey import asymptotics, colorings, lubell, search
+from rainbowramsey import asymptotics, colorings, lubell, posets, search
 from rainbowramsey.cli import main
 from rainbowramsey.lattice import Family
 
@@ -316,6 +316,54 @@ def test_missing_inputs_are_usage_errors(capsys):
     assert "needs --parts" in capsys.readouterr().err
     assert main(["lubell"]) == 1
     assert "needs --family or --subcube" in capsys.readouterr().err
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith(("usage error: ", "error: ")) and err.count("\n") == 1, err
+    return err
+
+
+def test_coloring_gen_refuses_flags_its_kind_does_not_read(capsys):
+    for argv, flags in ((["--kind", "rr-lower", "--n", "10", "--e", "2", "--q", "3"], "--n"),
+                        (["--kind", "level", "--parts", "1,1"], "--parts"),
+                        (["--kind", "g2-lower", "--k", "5", "--e", "3"], "--e, --k"),
+                        (["--kind", "consecutive-level", "--n", "3", "--parts", "1,1,1",
+                          "--r-set", "1"], "--r-set"),
+                        (["--kind", "fk-random", "--n", "4", "--q", "3", "--f-tweak", "1"],
+                         "--q, --f-tweak"),
+                        (["--kind", "trace", "--n", "3", "--k", "2"], "--k")):
+        assert main(["coloring", "gen", *argv]) == 1, argv
+        kind = argv[1]
+        assert f"--kind {kind} does not read {flags}" in _one_error_line(capsys), argv
+    # the defaults moved to the kinds that read them
+    _, out = run_cli(capsys, "coloring", "gen", "--kind", "rr-lower", "--e", "2", "--q", "3")
+    assert json.loads(out)["result"]["coloring"]["n"] == 3
+    _, out = run_cli(capsys, "coloring", "gen", "--kind", "level")
+    assert json.loads(out)["result"]["coloring"]["n"] == 0
+
+
+def test_two_color_sweep_below_n_refused(capsys):
+    assert main(["two-color", "--n", "8", "--sweep", "3"]) == 1
+    assert "--sweep must be >= --n (8), got 3" in _one_error_line(capsys)
+    code, out = run_cli(capsys, "two-color", "--n", "8", "--sweep", "8")
+    assert code == 0 and [r["n"] for r in json.loads(out)["result"]["rows"]] == [8]
+
+
+def test_large_pattern_names_refused_before_building(capsys, monkeypatch):
+    small = posets._pattern_from_strict
+
+    def built(k, pairs):
+        assert k <= 8, "large pattern built"
+        return small(k, pairs)
+
+    monkeypatch.setattr(posets, "_pattern_from_strict", built)
+    for argv in (["rainbow", "--p", "C2", "--q", "C400", "--n-cap", "1"],
+                 ["ramsey", "--p", "A300"],
+                 ["fork", "--which", "f", "--r", "256", "--k", "1"],
+                 ["fork", "--which", "f", "--r", "100000", "--k", "1"]):
+        assert main(argv) == 1, argv
+        assert "elements is refused: patterns have at most 256" in _one_error_line(capsys), argv
 
 
 def test_negative_budget_and_threshold_n_refused(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rainbowramsey import posets
 from rainbowramsey.lattice import Family, all_masks, levels_family, random_family
 from rainbowramsey.posets import (
     PosetError,
@@ -47,6 +48,26 @@ def test_standard_poset_shapes():
     assert not d2.comparable(1, 2)
     with pytest.raises(PosetError):
         standard_poset("fork", 1)
+
+
+def test_standard_poset_refuses_more_than_256_elements(monkeypatch):
+    # a B_8 holds 256 sets; a larger pattern is refused before it is built
+    assert standard_poset("antichain", 256).size == 256
+    assert standard_poset("fork", 255).size == 256
+
+    def built(*args):
+        raise AssertionError("pattern built")
+
+    monkeypatch.setattr(posets, "_pattern_from_strict", built)
+    for kind, param, size in (("chain", 257, 257), ("chain", 600, 600),
+                              ("antichain", 10**10, 10**10), ("fork", 256, 257),
+                              ("broom", 256, 257), ("gen-diamond", 255, 257)):
+        with pytest.raises(PosetError, match=f"a {kind} of {size} elements is refused"):
+            standard_poset(kind, param)
+    with pytest.raises(PosetError, match="at most 256"):
+        poset_by_name("C400")
+    with pytest.raises(PosetError, match="unknown standard poset kind"):
+        standard_poset("tree", 10**10)
 
 
 def test_pattern_validation():

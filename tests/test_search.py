@@ -57,6 +57,7 @@ from rainbowramsey.search import (
 C2 = poset_by_name("C2")
 C3 = poset_by_name("C3")
 C4 = standard_poset("chain", 4)
+C6 = standard_poset("chain", 6)
 V2 = poset_by_name("V2")
 A3 = poset_by_name("A3")
 A4 = poset_by_name("A4")
@@ -739,17 +740,23 @@ def test_anchored_mono_check_matches_naive():
 
 def test_anchored_rainbow_check_matches_unanchored():
     # a rainbow strong A_k (or a rainbow C_k) through the newest set is
-    # found exactly when the unanchored search finds one among all colored sets
+    # found exactly when the unanchored search finds one among all colored
+    # sets; chains up to C_5 reach the general kernel, not only _rainbow_pair
     for kind in ("antichain", "chain"):
         rng = random.Random(8128)
         found = 0
         for _ in range(80):
             n = rng.randint(2, 4)
-            k = rng.randint(1 if kind == "antichain" else 2, 4)
+            k = rng.randint(1, 4) if kind == "antichain" else rng.randint(2, 5)
             ncolors = rng.randint(max(1, k - 1), k + 2)
-            _, _, below, _, inc = _cube(n)
+            _, _, below, above, inc = _cube(n)
+            # the tables _avoiding picks: the antichain residual lies among
+            # the sets incomparable to x, the chain's among its strict subsets
+            if kind == "antichain":
+                window = rows = inc
+            else:
+                window, rows = below, [b | a for b, a in zip(below, above)]
             color = {}
-            colored = 0
             class_bits = [0] * ncolors
             for x in _canonical(n):
                 c = rng.randrange(ncolors + 1)
@@ -757,25 +764,19 @@ def test_anchored_rainbow_check_matches_unanchored():
                     continue  # left uncolored
                 before = tuple(m for m in _canonical(n) if m in color)
                 color[x] = c
+                # the kernel call _avoiding makes: positions are masks
+                others = [b for d in range(ncolors) if d != c and (b := class_bits[d] & window[x])]
+                through = _rainbow_strong_antichain(others, rows.__getitem__, k - 1)
                 if kind == "antichain":
-                    # the kernel call _avoiding makes: positions are masks
-                    cand = inc[x] & colored
-                    others = [b for d in range(ncolors) if d != c and (b := class_bits[d] & cand)]
-                    through = _rainbow_strong_antichain(others, inc.__getitem__, k - 1)
                     whole = find_pattern(Coloring(n, list(color.items())),
                                          standard_poset("antichain", k), "strong", "rainbow")
                 else:
-                    # the copy search call _avoiding makes: the colored strict
-                    # subsets of x outside x's class
-                    cand = below[x] & colored & ~class_bits[c]
-                    through = _search_embedding(tuple(_bits_of(cand)), standard_poset("chain", k - 1),
-                                                "weak", False, color_of=color.get)
                     whole = _search_embedding(before + (x,), standard_poset("chain", k), "weak",
                                               False, color_of=color.get)
                 assert (through is None) == (whole is None)
                 if through is not None:
                     found += 1
-                    copy = through + (x,)
+                    copy = sorted(through + (x,), key=int.bit_count)
                     assert len({color[m] for m in copy}) == k
                     if kind == "antichain":
                         assert all(a & ~b and b & ~a for a in copy for b in copy if a != b)
@@ -783,7 +784,6 @@ def test_anchored_rainbow_check_matches_unanchored():
                         assert all(a & ~b == 0 and a != b for a, b in zip(copy, copy[1:]))
                     del color[x]  # refused: the colored sets stay copy-free
                     continue
-                colored |= 1 << x
                 class_bits[c] |= 1 << x
         assert found > 20, kind
 
@@ -1041,9 +1041,17 @@ def _digest(col):
     # decided at n = 6, so the orbit test over S_6 runs to the end
     (lambda sym: rainbow_ramsey(C2, A4, "strong", 6, symmetry=sym), 6, (42_633, 84_706),
      "1c1873d08b5001a5"),
+    # a rainbow chain of four or more sets: the general relation-row kernel
+    # over the strict subsets of the newest set
+    (lambda sym: rainbow_ramsey(C2, C4, "weak", 4, symmetry=sym), 3, (83, 83),
+     "33f981b1d4bcdcdb"),
+    (lambda sym: rainbow_ramsey(A2, C4, "strong", 4, symmetry=sym), 4, (1_740, 3_983),
+     "c02e147e53a80d99"),
+    (lambda sym: rainbow_ramsey(C2, C6, "weak", 5, budget=3000, symmetry=sym), ">4",
+     (3_001, 3_001), "a4523f58c21297e3"),
 ], ids=["R(C3,C3)", "RR(C2,A3) strong", "RR(C3,C3) weak", "R(C2,C4)", "R(C2,C2,C3)",
         "R(C3,C4)", "RR(V2,A3) strong", "R(V2,L2)", "RR(A2,L2) strong", "RR(C2,V2) strong",
-        "RR(C2,A4) strong"])
+        "RR(C2,A4) strong", "RR(C2,C4) weak", "RR(A2,C4) strong", "RR(C2,C6) weak stopped"])
 def test_pinned_search_trees(run, value, nodes, witness):
     # the anchored checks prune exactly what the full copy searches did:
     # same node counts, values and witnesses, symmetry on and off
