@@ -11,6 +11,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .lattice import Family, is_subset, levels_family, order_rows
 
@@ -69,15 +70,26 @@ class PosetPattern:
     @cached_property
     def _plan(self):
         """What the copy search reads of the pattern, built once: the
-        linear extension, whether the pattern is an antichain, and for
-        each step t of the extension the flags below[t], one per earlier
-        step s, telling whether the element placed at s lies below the one
-        placed at t.  An earlier element never lies above a later one, so
-        a pair not below is incomparable."""
+        linear extension, whether the pattern is an antichain, for each
+        step t of the extension the flags below[t], one per earlier step s,
+        telling whether the element placed at s lies below the one placed
+        at t, and twin[t], the last earlier step whose element has the same
+        elements strictly below and strictly above as t's (-1 if none).
+        An earlier element never lies above a later one, so a pair not
+        below is incomparable."""
         order = self.linear_extension()
-        leq = [[self.leq[a][b] for b in order] for a in order]
-        below = tuple(col[:t] for t, col in enumerate(zip(*leq)))
-        return order, not any(map(any, below)), below
+        strict = [[self.leq[a][b] for b in order] for a in order]
+        for t, row in enumerate(strict):
+            row[t] = False
+        lower = list(zip(*strict))   # lower[t][s]: step s below step t
+        below = tuple(col[:t] for t, col in enumerate(lower))
+        last = {}
+        twin = []
+        for t, col in enumerate(lower):
+            key = col, tuple(strict[t])
+            twin.append(last.get(key, -1))
+            last[key] = t
+        return order, not any(map(any, below)), below, tuple(twin)
 
     def to_json(self) -> str:
         return json.dumps({"size": self.size, "leq": [[bool(v) for v in row] for row in self.leq]})
@@ -88,29 +100,26 @@ class PosetPattern:
         return PosetPattern(int(obj["size"]), tuple(tuple(bool(v) for v in row) for row in obj["leq"]))
 
 
-def _pattern_from_strict(k: int, strict_pairs) -> PosetPattern:
-    leq = [[i == j for j in range(k)] for i in range(k)]
-    for (i, j) in strict_pairs:
-        leq[i][j] = True
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            for j in range(k):
-                if leq[i][j]:
-                    for l in range(k):
-                        if leq[j][l] and not leq[i][l]:
-                            leq[i][l] = True
-                            changed = True
-    return PosetPattern(k, tuple(tuple(row) for row in leq))
+class _Kind(NamedTuple):
+    letter: str     # of its name, as in C3
+    extra: int      # its elements besides the parameter's
+    least: int      # the least parameter
+    too_small: str  # the refusal of a smaller one
+    order: object   # order(param, i, j): whether element i <= element j
 
 
-# the elements of each named pattern besides its parameter's
-_EXTRA_ELEMENTS = {"chain": 0, "antichain": 0, "fork": 1, "broom": 1, "gen-diamond": 2}
+# the named patterns, each order in closed form
+_KINDS = {
+    "chain": _Kind("C", 0, 1, "chain needs size >= 1", lambda l, i, j: i <= j),
+    "antichain": _Kind("A", 0, 1, "antichain needs size >= 1", lambda k, i, j: i == j),
+    "fork": _Kind("V", 1, 2, "fork V_r needs r >= 2", lambda r, i, j: i in (0, j)),
+    "broom": _Kind("L", 1, 2, "broom L_s needs s >= 2", lambda s, i, j: j in (i, s)),
+    "gen-diamond": _Kind("D", 2, 2, "generalized diamond D_k needs k >= 2",
+                         lambda k, i, j: i in (0, j) or j == k + 1),
+}
 # the largest named pattern: building one takes memory quadratic in its
-# size (time cubic for a chain), and a B_8, the largest cube a search
-# reaches, holds 256 sets
+# size (time cubic for a chain, to validate it), and a B_8, the largest
+# cube a search reaches, holds 256 sets
 _PATTERN_SIZE_MAX = 256
 
 
@@ -118,50 +127,34 @@ def standard_poset(kind: str, param: int) -> PosetPattern:
     """Named patterns: chain C_l, antichain A_k, fork V_r, broom L_s, gen-diamond D_k.
 
     The fork V_r is one bottom below r incomparable tops; the broom L_s is
-    s incomparable bottoms below one top; D_k is a < b_1..b_k < c.  A
-    pattern of more than _PATTERN_SIZE_MAX elements is refused before it
-    is built.
+    s incomparable bottoms below one top; D_k is a < b_1..b_k < c.  Each
+    kind is one row of _KINDS, its order in closed form.  A pattern of
+    more than _PATTERN_SIZE_MAX elements is refused before it is built.
     """
-    if kind not in _EXTRA_ELEMENTS:
+    if kind not in _KINDS:
         raise PosetError(f"unknown standard poset kind {kind!r}")
-    size = param + _EXTRA_ELEMENTS[kind]
+    spec = _KINDS[kind]
+    size = param + spec.extra
     if size > _PATTERN_SIZE_MAX:
         raise PosetError(f"a {kind} of {size} elements is refused: "
                          f"patterns have at most {_PATTERN_SIZE_MAX}")
-    if kind == "chain":
-        if param < 1:
-            raise PosetError("chain needs size >= 1")
-        return _pattern_from_strict(param, ((i, j) for i in range(param) for j in range(i + 1, param)))
-    if kind == "antichain":
-        if param < 1:
-            raise PosetError("antichain needs size >= 1")
-        return _pattern_from_strict(param, ())
-    if kind == "fork":
-        if param < 2:
-            raise PosetError("fork V_r needs r >= 2")
-        return _pattern_from_strict(param + 1, ((0, i) for i in range(1, param + 1)))
-    if kind == "broom":
-        if param < 2:
-            raise PosetError("broom L_s needs s >= 2")
-        return _pattern_from_strict(param + 1, ((i, param) for i in range(param)))
-    # the generalized diamond
-    if param < 2:
-        raise PosetError("generalized diamond D_k needs k >= 2")
-    pairs = [(0, i) for i in range(1, param + 1)]
-    pairs += [(i, param + 1) for i in range(1, param + 1)]
-    return _pattern_from_strict(param + 2, pairs)
+    if param < spec.least:
+        raise PosetError(spec.too_small)
+    elements = range(size)
+    return PosetPattern(size, tuple(tuple([spec.order(param, i, j) for j in elements])
+                                    for i in elements))
 
 
-_NAME_RE = re.compile(r"^([CAVLD])(\d+)$")
-_NAME_KIND = {"C": "chain", "A": "antichain", "V": "fork", "L": "broom", "D": "gen-diamond"}
+_NAME_RE = re.compile(r"([A-Z])(\d+)")
 
 
 def poset_by_name(name: str) -> PosetPattern:
     """Parse names like C3, A4, V2, L3, D2."""
-    m = _NAME_RE.match(name.strip())
-    if not m:
+    m = _NAME_RE.fullmatch(name.strip())
+    kind = next((kind for kind, spec in _KINDS.items() if m and spec.letter == m[1]), None)
+    if kind is None:
         raise PosetError(f"cannot parse poset name {name!r}")
-    return standard_poset(_NAME_KIND[m.group(1)], int(m.group(2)))
+    return standard_poset(kind, int(m[2]))
 
 
 @dataclass(frozen=True)
@@ -189,11 +182,13 @@ def _search_embedding(members, pattern: PosetPattern, mode: str, thin: bool,
     the incomparability rows of the other images, less the positions
     used and those sharing a color (a level, when thin) with an image.
     They are walked lowest position first, so the copy returned is the
-    first in member order; antichain images are placed in increasing
-    position order, as their elements are interchangeable.  Returns the
-    image tuple, indexed by pattern element.
+    first in member order.  Interchangeable elements (twins: the same
+    elements strictly below and strictly above) take increasing
+    positions: swapping two twins' images keeps a copy a copy, so the
+    first copy has them in order.  Returns the image tuple, indexed by
+    pattern element.
     """
-    order, antichain, below = pattern._plan
+    order, antichain, below, twin = pattern._plan
     k = len(order)
     if k > len(members):
         return None
@@ -225,8 +220,8 @@ def _search_embedding(members, pattern: PosetPattern, mode: str, thin: bool,
         if t == k:
             return True
         cand = everyone & ~used
-        if antichain and t:
-            cand &= -(2 << images[t - 1])
+        if twin[t] >= 0:
+            cand &= -(2 << images[twin[t]])
         for s, lower in enumerate(below[t]):
             if lower:
                 cand &= ups[s]

@@ -88,8 +88,9 @@ class _Cube(NamedTuple):
     masks: tuple       # B_n in canonical order
     ends: frozenset    # the positions t with masks[t - 1] last on its level
     below: list        # bitsets over mask values: each mask's strict subsets,
-    above: list        # its strict supersets
-    inc: list          # and the masks incomparable to it
+    above: list        # its strict supersets,
+    inc: list          # the masks incomparable to it
+    related: list      # and those comparable to it, itself excluded
 
 
 @cache
@@ -102,8 +103,9 @@ def _cube(n):
     below = [down(m) ^ 1 << m for m in values]
     above = [up(m) ^ 1 << m for m in values]
     everything = (1 << len(values)) - 1
-    inc = [everything ^ (b | a | 1 << m) for m, b, a in zip(values, below, above)]
-    return _Cube(masks, ends, below, above, inc)
+    related = [b | a for b, a in zip(below, above)]
+    inc = [everything ^ r ^ 1 << m for m, r in zip(values, related)]
+    return _Cube(masks, ends, below, above, inc, related)
 
 
 def _bits_of(x):
@@ -399,7 +401,7 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
     the refusal when it uncolors a position at or below it.  A backtrack
     from below s uncolors s too, so at most one refusal stands at a time.
     """
-    masks, ends, below, above, inc = _cube(n)
+    masks, ends, below, _, inc, related = _cube(n)
     total = len(masks)
     limit = len(patterns)
     use_sym = symmetry and n >= 4
@@ -430,7 +432,7 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
         if q.is_antichain():
             window = rows = inc
         elif q.is_chain():
-            window, rows = below, [b | a for b, a in zip(below, above)]
+            window, rows = below, related
         color_of = [None] * (1 << n)
 
         def rainbow_through(t, x, c):

@@ -351,13 +351,13 @@ def test_two_color_sweep_below_n_refused(capsys):
 
 
 def test_large_pattern_names_refused_before_building(capsys, monkeypatch):
-    small = posets._pattern_from_strict
+    small = posets.PosetPattern
 
-    def built(k, pairs):
+    def built(k, leq):
         assert k <= 8, "large pattern built"
-        return small(k, pairs)
+        return small(k, leq)
 
-    monkeypatch.setattr(posets, "_pattern_from_strict", built)
+    monkeypatch.setattr(posets, "PosetPattern", built)
     for argv in (["rainbow", "--p", "C2", "--q", "C400", "--n-cap", "1"],
                  ["ramsey", "--p", "A300"],
                  ["fork", "--which", "f", "--r", "256", "--k", "1"],

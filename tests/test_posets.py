@@ -10,7 +10,6 @@ from rainbowramsey.posets import (
     PosetError,
     PosetPattern,
     _no_room,
-    _pattern_from_strict,
     _search_embedding,
     extremal_params,
     find_copy,
@@ -58,7 +57,7 @@ def test_standard_poset_refuses_more_than_256_elements(monkeypatch):
     def built(*args):
         raise AssertionError("pattern built")
 
-    monkeypatch.setattr(posets, "_pattern_from_strict", built)
+    monkeypatch.setattr(posets, "PosetPattern", built)
     for kind, param, size in (("chain", 257, 257), ("chain", 600, 600),
                               ("antichain", 10**10, 10**10), ("fork", 256, 257),
                               ("broom", 256, 257), ("gen-diamond", 255, 257)):
@@ -68,6 +67,89 @@ def test_standard_poset_refuses_more_than_256_elements(monkeypatch):
         poset_by_name("C400")
     with pytest.raises(PosetError, match="unknown standard poset kind"):
         standard_poset("tree", 10**10)
+
+
+def _relabeled(pattern, rng):
+    """The same poset with element i renamed perm[i], perm a shuffle."""
+    k = pattern.size
+    perm = list(range(k))
+    rng.shuffle(perm)
+    leq = [[False] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            leq[perm[i]][perm[j]] = pattern.leq[i][j]
+    return PosetPattern(k, tuple(map(tuple, leq)))
+
+
+def _closure_pattern(k, strict_pairs):
+    """A pattern from strict pairs by transitive closure to a fixed point:
+    the reference for the closed-form orders of the named patterns."""
+    leq = [[i == j for j in range(k)] for i in range(k)]
+    for i, j in strict_pairs:
+        leq[i][j] = True
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k):
+            for j in range(k):
+                if leq[i][j]:
+                    for l in range(k):
+                        if leq[j][l] and not leq[i][l]:
+                            leq[i][l] = changed = True
+    return PosetPattern(k, tuple(map(tuple, leq)))
+
+
+def _closure_standard(kind, param):
+    """standard_poset by strict pairs and closure, refusing in the same order."""
+    extra = {"chain": 0, "antichain": 0, "fork": 1, "broom": 1, "gen-diamond": 2}
+    if kind not in extra:
+        raise PosetError(f"unknown standard poset kind {kind!r}")
+    size = param + extra[kind]
+    if size > 256:
+        raise PosetError(f"a {kind} of {size} elements is refused: patterns have at most 256")
+    least, message = {"chain": (1, "chain needs size >= 1"),
+                      "antichain": (1, "antichain needs size >= 1"),
+                      "fork": (2, "fork V_r needs r >= 2"),
+                      "broom": (2, "broom L_s needs s >= 2"),
+                      "gen-diamond": (2, "generalized diamond D_k needs k >= 2")}[kind]
+    if param < least:
+        raise PosetError(message)
+    tops = range(1, param + 1)
+    pairs = {"chain": [(i, j) for i in range(param) for j in range(i + 1, param)],
+             "antichain": [],
+             "fork": [(0, i) for i in tops],
+             "broom": [(i, param) for i in range(param)],
+             "gen-diamond": [(0, i) for i in tops] + [(i, param + 1) for i in tops]}[kind]
+    return _closure_pattern(size, pairs)
+
+
+def _outcome(build, kind, param):
+    try:
+        return build(kind, param).leq
+    except PosetError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", ["chain", "antichain", "fork", "broom", "gen-diamond", "tree"])
+def test_standard_poset_matches_strict_pair_closure(kind):
+    # the closed-form orders give the closure's matrix or its refusal, for
+    # small parameters and around the 256-element cap
+    for param in [*range(-2, 33), *range(254, 258)]:
+        if kind == "chain" and 254 <= param <= 256:
+            # the closure of every pair i < j, cubic to run
+            want = tuple(tuple(i <= j for j in range(param)) for i in range(param))
+        else:
+            want = _outcome(_closure_standard, kind, param)
+        assert _outcome(standard_poset, kind, param) == want, (kind, param)
+
+
+def test_pattern_twins():
+    # each step's last earlier twin (same elements strictly below and
+    # above) in the linear extension, -1 if none
+    twins = {"D5": (-1, -1, 1, 2, 3, 4, -1), "V3": (-1, -1, 1, 2), "L3": (-1, 0, 1, -1),
+             "A4": (-1, 0, 1, 2), "C3": (-1, -1, -1)}
+    for name, twin in twins.items():
+        assert poset_by_name(name)._plan[3] == twin, name
 
 
 def test_pattern_validation():
@@ -183,10 +265,7 @@ def test_chain_copy_matches_backtracking():
         n = rng.randint(0, 6)
         host = random_family(n, rng, density=rng.choice([0.2, 0.4, 0.7]))
         for l in range(6):
-            perm = list(range(l))
-            rng.shuffle(perm)
-            chain = _pattern_from_strict(l, ((perm[i], perm[j]) for i in range(l)
-                                             for j in range(i + 1, l)))
+            chain = _relabeled(standard_poset("chain", l) if l else PosetPattern(0, ()), rng)
             for mode in ("weak", "strong"):
                 for thin in (False, True):
                     emb = find_copy(host, chain, mode, thin)
@@ -256,15 +335,6 @@ def test_extremal_params_diamond():
     # levels of a large cube always host one
     assert params.m_weak == 1 and params.m_strong == 1
     assert params.e_estimate == 2 and params.e_star_estimate == 2
-
-
-def _relabeled(pattern, rng):
-    perm = list(range(pattern.size))
-    rng.shuffle(perm)
-    return _pattern_from_strict(pattern.size, ((perm[i], perm[j])
-                                               for i in range(pattern.size)
-                                               for j in range(pattern.size)
-                                               if pattern.less(i, j)))
 
 
 def test_copy_search_images_pinned():

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from rainbowramsey.lattice import Family, all_masks, canonical_key, is_subset
+from rainbowramsey import posets
+from rainbowramsey.lattice import Family, all_masks, canonical_key, is_subset, order_rows
 from rainbowramsey.lubell import binom
 from rainbowramsey.corechain import comparability
 from rainbowramsey.posets import (
@@ -694,7 +695,7 @@ def _canonical(n):
 def test_order_bitsets_match_subset_definitions():
     # the per-n table of B_n against its definitions
     for n in range(7):
-        masks, ends, below, above, inc = _cube(n)
+        masks, ends, below, above, inc, related = _cube(n)
         assert list(masks) == _canonical(n)
         assert ends == {t for t in range(1, len(masks) + 1)
                         if t == len(masks) or masks[t].bit_count() != masks[t - 1].bit_count()}
@@ -704,6 +705,8 @@ def test_order_bitsets_match_subset_definitions():
             assert above[m] == sum(1 << x for x in values if is_subset(m, x) and x != m)
             assert inc[m] == sum(1 << x for x in values
                                  if not is_subset(x, m) and not is_subset(m, x))
+            assert related[m] == sum(1 << x for x in values
+                                     if (is_subset(x, m) or is_subset(m, x)) and x != m)
         assert _cube(n) is _cube(n)
 
 
@@ -749,13 +752,13 @@ def test_anchored_rainbow_check_matches_unanchored():
             n = rng.randint(2, 4)
             k = rng.randint(1, 4) if kind == "antichain" else rng.randint(2, 5)
             ncolors = rng.randint(max(1, k - 1), k + 2)
-            _, _, below, above, inc = _cube(n)
+            _, _, below, _, inc, related = _cube(n)
             # the tables _avoiding picks: the antichain residual lies among
             # the sets incomparable to x, the chain's among its strict subsets
             if kind == "antichain":
                 window = rows = inc
             else:
-                window, rows = below, [b | a for b, a in zip(below, above)]
+                window, rows = below, related
             color = {}
             class_bits = [0] * ncolors
             for x in _canonical(n):
@@ -796,8 +799,7 @@ def test_rainbow_pair_matches_generic_kernels():
     outcomes = {"antichain": [0, 0], "chain": [0, 0]}
     for _ in range(400):
         n = rng.randint(2, 5)
-        _, _, below, above, inc = _cube(n)
-        comparable = [b | a for b, a in zip(below, above)]
+        _, _, below, _, inc, related = _cube(n)
         ncolors = rng.randint(2, 5)
         color = {m: c for m in range(1 << n) if (c := rng.randrange(ncolors + 1)) < ncolors}
         x = rng.randrange(1 << n)
@@ -814,7 +816,7 @@ def test_rainbow_pair_matches_generic_kernels():
                        is not None)
         outcomes["antichain"][got] += 1
         # the chain residual: the colored strict subsets of x outside its class
-        got = _rainbow_pair(classes, ncolors, c, below[x], comparable)
+        got = _rainbow_pair(classes, ncolors, c, below[x], related)
         colored = sum(class_bits)   # the classes are disjoint
         cand = tuple(_bits_of(below[x] & ~class_bits[c] & colored))
         assert got == (_search_embedding(cand, C2, "weak", False, color_of=color.get)
@@ -1058,6 +1060,28 @@ def test_pinned_search_trees(run, value, nodes, witness):
     for sym, expect_nodes in zip((True, False), nodes):
         res = run(sym)
         assert (res.value, res.details["nodes"], _digest(res.witness)) == (value, expect_nodes, witness)
+
+
+def test_twins_bound_the_work_of_a_budget(monkeypatch):
+    # D5's five middles are interchangeable and take increasing images, so
+    # 100 nodes of R(D5,D5) strong run the copy search about 2 * 10^5 up
+    # rows; trying every order of the middles took 1.6 * 10^7
+    calls = 0
+
+    def counted(members):
+        up, down = order_rows(members)
+
+        def counted_up(x):
+            nonlocal calls
+            calls += 1
+            assert calls <= 1_000_000, "the copy search outran the node budget"
+            return up(x)
+
+        return counted_up, down
+
+    monkeypatch.setattr(posets, "order_rows", counted)
+    res = ramsey([poset_by_name("D5")] * 2, "strong", 6, budget=100)
+    assert (res.value, res.details["nodes"], _digest(res.witness)) == (">5", 101, "a2950dbb9c2eec0d")
 
 
 @pytest.mark.parametrize("partial, nodes, witness", [
