@@ -39,15 +39,23 @@ def _step_residual(c_next, c_prev):
     return abs(c_next * binary_entropy((c_next - c_prev) / c_next) - 1.0)
 
 
+# A larger k_max is refused before any step.  The default tol already
+# fails past k = 6,477, and c_sequence(10_000, 1e-6) takes under 0.3 s.
+C_SEQUENCE_MAX_K = 10_000
+
+
 def c_sequence(k_max: int, tol: float = 1e-12) -> EntropyConstants:
     """Solve the growth-constant recurrence by bisection.
 
     c -> c * h((c - c_k)/c) increases from 0 to above 1 on (c_k, c_k + 4]
     (write it as c_k * h(t)/t with t = c_k/c; h(t)/t is strictly
     decreasing), so bisection on that bracket is safe.  c_1 = 1 exactly.
+    k_max above C_SEQUENCE_MAX_K is refused.
     """
     if k_max < 1:
         raise AsymptoticsError("k_max must be >= 1")
+    if k_max > C_SEQUENCE_MAX_K:
+        raise AsymptoticsError(f"k_max must be <= {C_SEQUENCE_MAX_K}, got {k_max}")
     if not math.isfinite(tol):
         raise AsymptoticsError(f"tol must be finite, got {tol!r}")
     if tol < 1e-14:

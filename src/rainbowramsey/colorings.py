@@ -438,8 +438,9 @@ def fk_random_coloring(n: int, k: int, seed: int, max_draws: int = 10000):
         raise ColoringError("fk-random requires a seed")
     l = ((k - 1).bit_length() - 1) // 2  # floor(log2(k-1) / 2)
     size = n // 2 + l
-    if size > n:
-        raise ColoringError(f"center size {size} exceeds n={n}")
+    if size >= n:
+        # a center [n] leaves the top class empty
+        raise ColoringError(f"fk-random needs center size {size} below n={n}")
     # at most each center's downset and punctured upset
     _check_count("fk-random", max(size, n - size),
                  lambda: (k - 1) * ((1 << size) + (1 << n - size) - 1))
@@ -451,7 +452,9 @@ def fk_random_coloring(n: int, k: int, seed: int, max_draws: int = 10000):
             cand = 0
             for e in rng.sample(range(n), size):
                 cand |= 1 << e
-            if all((cand & c).bit_count() <= cap for c in centers):
+            # a repeated center would leave its class empty; for n >= 2
+            # it already fails the cap (size > floor(0.26 n))
+            if cand not in centers and all((cand & c).bit_count() <= cap for c in centers):
                 centers.append(cand)
                 break
         else:

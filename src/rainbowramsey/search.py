@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate, permutations, repeat
-from math import comb, factorial, lcm
+from math import comb, lcm
 from operator import and_
 from typing import NamedTuple
 
@@ -173,72 +173,64 @@ class _MonoClass:
 # ground-set permutation symmetry (checked at complete-level boundaries)
 # ---------------------------------------------------------------------------
 
-_PERM_MAPS = {}
-
-
+@cache
 def _perm_position_maps(n):
-    """For each position p of the canonical order, the sets of permutations
-    sending each set of p's level to masks[p]: cols[p][k] holds the
-    permutations sigma of the ground set with sigma(masks[lo + k]) =
-    masks[p], lo the level's first position.  A set of permutations is a
-    bitset whose bit k is the k-th of itertools.permutations(range(n)), so
-    bit 0 is the identity.  For a fixed k the sets cols[p][k] over the p of
-    one level partition all n! permutations, so the permutations reading a
-    color at position lo + k are the OR of cols[p][k] over the sets p of
-    that color.
+    """(perms, cols): perms is list(itertools.permutations(range(n))), and
+    for each position p of the canonical order cols[p] holds the sets of
+    permutations sending each set of p's level to masks[p]: cols[p][k]
+    holds the permutations sigma of the ground set with sigma(masks[lo +
+    k]) = masks[p], lo the level's first position.  A set of permutations
+    is a bitset whose bit k is perms[k], so bit 0 is the identity.  For a
+    fixed k the sets cols[p][k] over the p of one level partition all n!
+    permutations, so the permutations reading a color at position lo + k
+    are the OR of cols[p][k] over the sets p of that color.
 
     Built from the n^2 element sets "sigma(a) = b": sigma(A) = B exactly
     when every a in A goes into B, an AND over a in A of an OR over b in B.
-    Tables for n <= 6 are kept, and at most one larger one (n = 8's holds
-    12,870 sets of 40,320 bits, about 63 MiB).
+    Built once per n, as _cube is (n = 8's cols hold 12,870 sets of 40,320
+    bits, about 63 MiB).
     """
-    cols = _PERM_MAPS.get(n)
-    if cols is None:
-        perms = list(permutations(range(n)))
-        everyone = (1 << len(perms)) - 1
-        # sends[a][b]: the permutations with sigma(a) = b, read from a
-        # string of binary digits, the last permutation first
-        digits = [bytes(48 + (v == b) for v in range(256)) for b in range(n)]
-        sends = []
-        for a in range(n):
-            images = bytes(perm[a] for perm in reversed(perms))
-            sends.append([int(images.translate(d), 2) for d in digits])
-        masks, ends = _cube(n)[:2]
-        cols = []
-        lo = 0
-        for hi in sorted(ends):
-            level = masks[lo:hi]
-            elements = [list(_bits_of(m)) for m in level]
-            for m in level:
-                # into[a]: the permutations sending a into m (an OR over b
-                # in m; the sets sends[a][b] are disjoint, so a sum)
-                into = [sum(sends[a][b] for b in _bits_of(m)) for a in range(n)]
-                cols.append(tuple(reduce(and_, map(into.__getitem__, e), everyone)
-                                  for e in elements))
-            lo = hi
-        if n > 6:
-            for m in [m for m in _PERM_MAPS if m > 6]:
-                del _PERM_MAPS[m]
-        _PERM_MAPS[n] = cols
-    return cols
+    perms = list(permutations(range(n)))
+    everyone = (1 << len(perms)) - 1
+    # sends[a][b]: the permutations with sigma(a) = b, read from a
+    # string of binary digits, the last permutation first
+    digits = [bytes(48 + (v == b) for v in range(256)) for b in range(n)]
+    sends = []
+    for a in range(n):
+        images = bytes(perm[a] for perm in reversed(perms))
+        sends.append([int(images.translate(d), 2) for d in digits])
+    masks, ends = _cube(n)[:2]
+    cols = []
+    lo = 0
+    for hi in sorted(ends):
+        level = masks[lo:hi]
+        elements = [list(_bits_of(m)) for m in level]
+        for m in level:
+            # into[a]: the permutations sending a into m (an OR over b
+            # in m; the sets sends[a][b] are disjoint, so a sum)
+            into = [sum(sends[a][b] for b in _bits_of(m)) for a in range(n)]
+            cols.append(tuple(reduce(and_, map(into.__getitem__, e), everyone)
+                              for e in elements))
+        lo = hi
+    return perms, cols
 
 
 def _prefix_is_orbit_min(assign, t, tied, cols, ties_out):
     """True iff the length-t prefix is lexicographically minimal in its
-    permutation orbit (colors renamed first-seen when the classes carry a
-    renaming, in which case assign is restricted-growth and so its own
-    renaming).
+    permutation orbit, its colors renamed by the classes' renamings.
+    Interchangeable colors are renamed first-seen (assign is then
+    restricted-growth and so its own renaming); fixed colors start from
+    the identity renaming, which holds every color and so never grows.
 
     tied = (s, classes) holds, for the level end s before t (so positions
     s..t-1 are one level), the permutations whose permuted prefix equals
     the prefix through s; every other permutation is larger before s and
     stays larger.  A class is a pair (cmap, bits): a bitset of such
-    permutations that share one color renaming cmap (None when colors are
-    not renamed).  cols is _perm_position_maps(n): the permutations
-    reading color c at position s + k, the ones sending masks[s + k] to a
-    set colored c, are the OR of cols[p][k] over the level's positions p
-    colored c, built when the test reaches k; assign[s]'s color is read
-    by all the others.
+    permutations that share one color renaming, a dict cmap.  cols is
+    _perm_position_maps(n)[1]: the permutations reading color c at
+    position s + k, the ones sending masks[s + k] to a set colored c, are
+    the OR of cols[p][k] over the level's positions p colored c, built
+    when the test reaches k; assign[s]'s color is read by all the others.
 
     At each position i from s on the permutations split by the color
     they read.  A permutation reading a label below the prefix's is
@@ -281,14 +273,14 @@ def _prefix_is_orbit_min(assign, t, tied, cols, ties_out):
                 both = read & live
                 if both:
                     rest ^= both
-                    label = c if cmap is None else cmap.get(c, len(cmap))
+                    label = cmap.get(c, len(cmap))
                     if label < b:
                         ties_out.append((s + k, both))
                         return False
                     if label == b:
                         hits.append((c, both))
             if rest:
-                label = first if cmap is None else cmap.get(first, len(cmap))
+                label = cmap.get(first, len(cmap))
                 if label < b:
                     ties_out.append((s + k, rest))
                     return False
@@ -296,32 +288,27 @@ def _prefix_is_orbit_min(assign, t, tied, cols, ties_out):
                     hits.append((first, rest))
                     hits.sort()
             for c, both in hits:
-                kept.append((cmap if cmap is None or c in cmap else {**cmap, c: b}, both))
+                kept.append((cmap if c in cmap else {**cmap, c: b}, both))
         classes = kept
     ties_out.extend(classes)
     return True
 
 
-def _last_read(masks, where, s, refusal):
+def _last_read(masks, where, perms, s, refusal):
     """The last position that a refusal of the orbit test at the end of
-    the level starting at s reads, refusal = (i, perms) as
-    _prefix_is_orbit_min reports it (where[m] is the position of mask m).
+    the level starting at s reads, refusal = (i, bits) as
+    _prefix_is_orbit_min reports it (where[m] is the position of mask m,
+    perms the permutation list of _perm_position_maps).
 
-    For sigma the lowest-numbered permutation of perms, decoded from its
-    number (itertools.permutations numbers them in lexicographic order),
-    the refusal reads the prefix's labels at positions s..i and sigma's
-    colors at the positions of sigma(masks[p]) for p in s..i: its class
-    and renaming at s come from the positions before s, and the renaming
-    grows only by what sigma read.
+    For sigma = perms[k], k the lowest bit of bits, the refusal reads the
+    prefix's labels at positions s..i and sigma's colors at the positions
+    of sigma(masks[p]) for p in s..i: its class and renaming at s come
+    from the positions before s, and the renaming grows only by what
+    sigma read.
     """
-    i, perms = refusal
-    number = (perms & -perms).bit_length() - 1
-    n = len(where).bit_length() - 1
-    left = list(range(n))
-    images = []   # the bit of sigma(a), for a = 0..n-1
-    for m in range(n - 1, -1, -1):
-        place, number = divmod(number, factorial(m))
-        images.append(1 << left.pop(place))
+    i, bits = refusal
+    # the bit of sigma(a), for each element a
+    images = [1 << b for b in perms[(bits & -bits).bit_length() - 1]]
     last = i
     for p in range(s, i + 1):
         mask, image, a = masks[p], 0, 0
@@ -378,16 +365,16 @@ def iter_canonical_colorings(n):
     yield from rec(0, 0) if total else iter(())
 
 
-def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
+def _avoiding(n, patterns, mode, counter, symmetry, q=None):
     """A coloring of B_n whose class c is free of patterns[c] and, when q
     is given, that holds no rainbow q; or None.
 
     len(patterns) caps the number of colors (RR passes one pattern per
-    set: no cap).  When rename is set the colors are interchangeable and
-    only restricted-growth colorings are tried.  Every prefix reached
-    holds no forbidden copy, so only copies through the newest set are
-    looked for.  The search runs on an explicit stack: position t of the
-    canonical order is depth t.
+    set: no cap).  When the patterns are all equal the colors are
+    interchangeable and only restricted-growth colorings are tried.
+    Every prefix reached holds no forbidden copy, so only copies through
+    the newest set are looked for.  The search runs on an explicit stack:
+    position t of the canonical order is depth t.
 
     A refusal of the orbit test is remembered until it can change.  A
     permutation sigma that refuses the prefix at level end t, first at
@@ -404,6 +391,7 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
     masks, ends, below, _, inc, related = _cube(n)
     total = len(masks)
     limit = len(patterns)
+    rename = all(p == patterns[0] for p in patterns)
     use_sym = symmetry and n >= 4
     classes = [_MonoClass(p, mode, below) for p in patterns]
     assign = [0] * total
@@ -416,9 +404,11 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
     # the standing refusal: its level end and the last position it reads
     refused_end = refused_last = -1
     if use_sym:
-        # every permutation ties on the empty prefix, under no renaming yet
-        tied[0] = (0, [({} if rename else None, (1 << factorial(n)) - 1)])
-        cols = _perm_position_maps(n)
+        perms, cols = _perm_position_maps(n)
+        # every permutation ties on the empty prefix, under no renaming
+        # yet, or under the identity when the colors are fixed
+        tied[0] = (0, [({} if rename else {c: c for c in range(limit)},
+                        (1 << len(perms)) - 1)])
         where = {m: i for i, m in enumerate(masks)}
 
     if q is not None:
@@ -469,7 +459,7 @@ def _avoiding(n, patterns, mode, counter, symmetry, rename, q=None):
                     tied[t] = (t, ties)
                 else:
                     c = limit
-                    refused_end, refused_last = t, _last_read(masks, where, s, ties[0])
+                    refused_end, refused_last = t, _last_read(masks, where, perms, s, ties[0])
         top = min(limit - 1, used[t] + 1) if rename else limit - 1
         x = masks[t]
         while c <= top:
@@ -546,10 +536,8 @@ def ramsey(patterns, mode: str = "weak", n_cap: int = 4,
     if not patterns:
         raise SearchError("ramsey needs at least one pattern")
     names = ",".join(f"P{i}" for i in range(len(patterns)))
-    identical = all(p == patterns[0] for p in patterns)
     return _least_n(f"R({names}) {mode}", "brute", n_cap, budget,
-                    lambda n, counter: _avoiding(n, patterns, mode, counter,
-                                                 symmetry, identical))
+                    lambda n, counter: _avoiding(n, patterns, mode, counter, symmetry))
 
 
 def rainbow_ramsey(p: PosetPattern, q: PosetPattern, mode: str = "weak",
@@ -564,7 +552,7 @@ def rainbow_ramsey(p: PosetPattern, q: PosetPattern, mode: str = "weak",
     _check_mode(mode)
     return _least_n(f"RR(P,Q) {mode}", "canonical-partition", n_cap, budget,
                     lambda n, counter: _avoiding(n, [p] * (1 << n), mode, counter,
-                                                 symmetry, True, q))
+                                                 symmetry, q))
 
 
 # ---------------------------------------------------------------------------

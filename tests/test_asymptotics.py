@@ -48,6 +48,18 @@ def test_c_sequence_contract():
             c_sequence(3, tol)
 
 
+def test_c_sequence_refuses_k_max_past_cap(monkeypatch):
+    from rainbowramsey import asymptotics
+
+    def stepped(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(asymptotics, "binary_entropy", stepped)
+    for k_max in (10_001, 10**8):
+        with pytest.raises(AsymptoticsError, match="k_max must be <= 10000"):
+            c_sequence(k_max, 1e-6)
+
+
 def test_c_sequence_residual_definition():
     ec = c_sequence(4, 1e-12)
     for k in range(1, 4):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 import warnings
 from math import comb
 
@@ -432,6 +433,19 @@ def test_trace_r_set_is_a_set_of_elements(capsys):
     for elem in ("0", "4"):
         assert main(["coloring", "gen", "--kind", "trace", "--n", "3", "--r-set", elem]) == 1
         assert f"element {elem} outside ground [3]" in capsys.readouterr().err
+
+
+def test_constants_refuses_k_max_past_cap(capsys):
+    start = time.process_time()
+    assert main(["constants", "--k-max", "100000000", "--tol", "1e-6"]) == 1
+    assert time.process_time() - start < 1.0
+    assert "k_max must be <= 10000" in _one_error_line(capsys)
+
+
+def test_fk_random_defaults_refused(capsys):
+    # n 0, k 2: the center [0] would leave the top class empty
+    assert main(["coloring", "gen", "--kind", "fk-random"]) == 1
+    assert "fk-random" in _one_error_line(capsys)
 
 
 def test_constants_refuses_non_finite_tol(capsys):

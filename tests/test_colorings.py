@@ -279,6 +279,15 @@ def test_fk_random_exhaustion_reports():
         fk_random_coloring(14, 5, seed=1, max_draws=2000)
 
 
+def test_fk_random_refuses_empty_classes():
+    # a center [n] leaves the top class empty, and for n <= 1 a repeated
+    # center passes the intersection cap and leaves its own class empty
+    with pytest.raises(ColoringError, match="center size 0 below n=0"):
+        fk_random_coloring(0, 2, seed=1)
+    with pytest.raises(ColoringError, match="exhausted"):
+        fk_random_coloring(1, 3, seed=1)
+
+
 def test_fk_structural_ok_refuses_misplaced_sets():
     col, meta = fk_random_coloring(12, 3, seed=321)
     items = list(col.items)

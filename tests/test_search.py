@@ -34,6 +34,7 @@ from rainbowramsey.search import (
     _bits_of,
     _cube,
     _interior_table,
+    _last_read,
     _mass_tables,
     _max_block_len,
     _perm_position_maps,
@@ -91,8 +92,7 @@ def test_ramsey_cap_and_budget():
 
 def test_search_n_cap_refused_before_tables(monkeypatch):
     from rainbowramsey import search
-    from rainbowramsey.search import _PERM_MAPS
-    built = (_cube.cache_info().misses, set(_PERM_MAPS))
+    built = (_cube.cache_info().misses, _perm_position_maps.cache_info().misses)
     for cap in (-1, -5):
         with pytest.raises(SearchError):
             ramsey([C2, C2], "weak", n_cap=cap)
@@ -100,7 +100,7 @@ def test_search_n_cap_refused_before_tables(monkeypatch):
             rainbow_ramsey(C2, C2, "weak", n_cap=cap)
         with pytest.raises(SearchError):
             fork_f_small(2, 1, n_cap=cap)
-    assert (_cube.cache_info().misses, set(_PERM_MAPS)) == built
+    assert (_cube.cache_info().misses, _perm_position_maps.cache_info().misses) == built
     # a cap past 8 still answers a search decided by n = 8
     assert ramsey([C2, C2], "weak", n_cap=16).value == 2
     assert rainbow_ramsey(C2, C2, "weak", n_cap=9).value == 1
@@ -893,7 +893,7 @@ def test_orbit_test_matches_literal_oracle():
         # cols[p][k]: the permutations taking the k-th set of p's level to p
         cols = [tuple(sends[lo + k][p] for k in range(hi - lo))
                 for lo, hi in zip([0] + ends, ends) for p in range(lo, hi)]
-        assert cols == _perm_position_maps(n)
+        assert _perm_position_maps(n) == (list(permutations(range(n))), cols)
         for rename in (True, False):
             for trial in range(10):
                 k = rng.randint(2, 4)
@@ -912,7 +912,8 @@ def test_orbit_test_matches_literal_oracle():
                 if trial % 3 == 2:
                     # the least of its orbit: every prefix is minimal
                     assign = _orbit_min_coloring(perm_positions, assign, rename)
-                tied = (0, [({} if rename else None, (1 << factorial(n)) - 1)])
+                fixed = {c: c for c in range(k)}
+                tied = (0, [({} if rename else fixed, (1 << factorial(n)) - 1)])
                 for t in ends:
                     ties = []
                     got = _prefix_is_orbit_min(assign, t, tied, cols, ties)
@@ -926,7 +927,9 @@ def test_orbit_test_matches_literal_oracle():
                     for cmap, bits in ties:
                         assert bits and not bits & union
                         union |= bits
-                        if bits != 1:  # a lone identity keeps the renaming it had
+                        if not rename:  # fixed colors keep the identity renaming
+                            assert cmap == fixed, (n, assign, t)
+                        elif bits != 1:  # a lone identity keeps the renaming it had
                             assert all(expect[j] == cmap for j in _bits_of(bits))
                     assert set(_bits_of(union)) == set(expect), (n, rename, assign, t)
                     tied = (t, ties)
@@ -987,6 +990,45 @@ def test_orbit_refusal_memo_is_sound(monkeypatch):
     assert tests[0] > 5000 and memo["renamed"] > 10_000 and memo["plain"] > 5000, (tests, memo)
 
 
+def test_last_read_is_the_literal_last_position_read():
+    # seeded colorings, n = 4..6, colors renamed and fixed: at each refusal
+    # of the orbit test the memo's last position is the last position that
+    # the lowest refusing permutation reads, by the literal position maps
+    rng = random.Random(2026)
+    refusals = {True: 0, False: 0}
+    beyond = 0
+    for n in range(4, 7):
+        perm_positions = _literal_perm_positions(n)
+        perms, cols = _perm_position_maps(n)
+        masks = _cube(n).masks
+        where = {m: i for i, m in enumerate(masks)}
+        size = 1 << n
+        ends = [sum(comb(n, l) for l in range(j + 1)) for j in range(n + 1)]
+        for rename in (True, False):
+            for _ in range(60):
+                k = rng.randint(2, 4)
+                assign = [rng.randrange(k) for _ in range(size)]
+                if rename:
+                    names = {}
+                    assign = [names.setdefault(c, len(names)) for c in assign]
+                tied = (0, [({} if rename else {c: c for c in range(k)},
+                             (1 << factorial(n)) - 1)])
+                for s, t in zip([0] + ends, ends):
+                    ties = []
+                    if _prefix_is_orbit_min(assign, t, tied, cols, ties):
+                        tied = (t, ties)
+                        continue
+                    i, bits = ties[0]
+                    sigma = (bits & -bits).bit_length() - 1
+                    expect = max(i, *(perm_positions[sigma][p] for p in range(s, i + 1)))
+                    assert _last_read(masks, where, perms, s, ties[0]) == expect, \
+                        (n, rename, assign, t)
+                    refusals[rename] += 1
+                    beyond += expect > i
+                    break
+    assert min(refusals.values()) > 100 and beyond > 100, (refusals, beyond)
+
+
 def test_pinned_orbit_tree_on_s8(monkeypatch):
     # the orbit test over S_8 (40,320 permutations): a budgeted R(C3,C3,C3,C3)
     # stops in n = 8 with the same tree, witness and orbit-test outcomes;
@@ -1006,7 +1048,7 @@ def test_pinned_orbit_tree_on_s8(monkeypatch):
     try:
         res = ramsey([C3] * 4, "weak", 8, budget=1000)
     finally:
-        search._PERM_MAPS.pop(8, None)   # about 63 MiB
+        search._perm_position_maps.cache_clear()   # n = 8's table is about 63 MiB
     assert (res.value, res.details["nodes"], res.checked) == (">7", 1001, (0, 7))
     assert _digest(res.witness) == "f1f93e68ff016117"
     assert (len(calls) + len(memo), calls.count(False) + len(memo)) == (96, 42)
