@@ -162,9 +162,7 @@ def _cmd_corechain(args):
     fams = [_read_family(p) for p in args.family]
     cc = core_chain(fams)
     check = validate_core_chain(cc, fams)
-    body = {"chain": list(cc.chain),
-            "owners": list(cc.block_owner),
-            "valid": bool(check)}
+    body = {**json.loads(cc.to_json()), "valid": bool(check)}
     return body, [body], 0
 
 

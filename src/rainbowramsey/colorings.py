@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import isqrt
-from operator import itemgetter
+from math import comb, isqrt
 
 from .lattice import (
     Family,
     _check_ground as _check_family_ground,
     _json_int,
     all_masks,
-    canonical_key,
+    canonical_order,
     full_mask,
     is_subset,
     order_rows,
@@ -32,45 +31,41 @@ class ColoringError(ValueError):
     pass
 
 
-def _canonicalize(items):
-    """Sort by canonical set order and rename colors in first-seen order."""
-    # two stable sorts, by mask and then by size, give the canonical_key
-    # order (ties included) without building a key tuple per item
-    items = sorted(items, key=itemgetter(0))
-    items.sort(key=lambda mc: mc[0].bit_count())
-    remap = {}
-    out = []
-    for mask, c in items:
-        if c not in remap:
-            remap[c] = len(remap)
-        out.append((mask, remap[c]))
-    return tuple(out), remap
-
-
 class Coloring:
     """Immutable partial coloring of B_n with contiguous color ids."""
 
-    __slots__ = ("ground", "total", "items", "_map")
+    __slots__ = ("ground", "total", "items", "_map", "_classes")
 
     def __init__(self, ground: int, assignment, total: bool = False):
         if ground < 0 or ground > 63:
             raise ColoringError(f"bad ground {ground}")
-        pairs = assignment.items() if isinstance(assignment, dict) else assignment
-        items, _ = _canonicalize(pairs)
-        full = full_mask(ground)
-        seen = set()
-        for mask, c in items:
-            if mask & ~full:
+        pairs = assignment.items() if isinstance(assignment, dict) else list(assignment)
+        color_of = dict(pairs)
+        if len(color_of) != len(pairs):
+            masks = canonical_order(m for m, _ in pairs)
+            twice = next(a for a, b in zip(masks, masks[1:]) if a == b)
+            raise ColoringError(f"set {twice:#x} colored twice")
+        rename = {}
+        classes = []
+        items = []
+        for mask in canonical_order(color_of):
+            if mask >> ground:
                 raise ColoringError(f"colored set {mask:#x} outside ground")
-            if mask in seen:
-                raise ColoringError(f"set {mask:#x} colored twice")
-            seen.add(mask)
+            c = color_of[mask]
+            new = rename.get(c)
+            if new is None:
+                new = rename[c] = len(classes)
+                classes.append([])
+            classes[new].append(mask)
+            color_of[mask] = new
+            items.append((mask, new))
         if total and len(items) != 1 << ground:
             raise ColoringError("total coloring must assign every subset")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "_map", dict(items))
+        object.__setattr__(self, "items", tuple(items))
+        object.__setattr__(self, "_map", color_of)
+        object.__setattr__(self, "_classes", dict(enumerate(map(tuple, classes))))
 
     def __setattr__(self, *a):
         raise AttributeError("Coloring is immutable")
@@ -95,22 +90,16 @@ class Coloring:
 
     @property
     def num_colors(self):
-        return 1 + max((c for _, c in self.items), default=-1)
+        return len(self._classes)
 
     def classes(self):
-        out = {}
-        for m, c in self.items:
-            out.setdefault(c, []).append(m)
-        return {c: tuple(ms) for c, ms in out.items()}
+        return dict(self._classes)
 
     def class_family(self, color) -> Family:
-        return Family.make(self.ground, (m for m, c in self.items if c == color))
+        return Family(self.ground, self._classes.get(color, ()))
 
     def class_sizes(self):
-        sizes = [0] * self.num_colors
-        for _, c in self.items:
-            sizes[c] += 1
-        return sizes
+        return [len(ms) for ms in self._classes.values()]
 
     # --- serialization ----------------------------------------------------
 
@@ -245,7 +234,7 @@ def find_pattern(col: Coloring, pattern: PosetPattern, mode: str = "weak",
         chosen = _rainbow_strong_antichain(classes, inc_row, k)
         if chosen is None:
             return None
-        images = tuple(sorted((members[i] for i in chosen), key=canonical_key))
+        images = tuple(members[i] for i in sorted(chosen))
         return (Embedding(images, mode), tuple(col.color(m) for m in images))
 
     images = _search_embedding(members, pattern, mode, thin=False, color_of=col.color)
@@ -441,6 +430,9 @@ def fk_random_coloring(n: int, k: int, seed: int, max_draws: int = 10000):
     if size >= n:
         # a center [n] leaves the top class empty
         raise ColoringError(f"fk-random needs center size {size} below n={n}")
+    if comb(n, size) < k - 1:
+        raise ColoringError(f"fk-random needs {k - 1} distinct centers of size {size}, "
+                            f"but B_{n} has only {comb(n, size)}")
     # at most each center's downset and punctured upset
     _check_count("fk-random", max(size, n - size),
                  lambda: (k - 1) * ((1 << size) + (1 << n - size) - 1))
@@ -452,9 +444,8 @@ def fk_random_coloring(n: int, k: int, seed: int, max_draws: int = 10000):
             cand = 0
             for e in rng.sample(range(n), size):
                 cand |= 1 << e
-            # a repeated center would leave its class empty; for n >= 2
-            # it already fails the cap (size > floor(0.26 n))
-            if cand not in centers and all((cand & c).bit_count() <= cap for c in centers):
+            # a repeat fails the cap (size > 0.26 n for n >= 2; n <= 1 draws one center)
+            if all((cand & c).bit_count() <= cap for c in centers):
                 centers.append(cand)
                 break
         else:
@@ -472,11 +463,10 @@ def fk_random_coloring(n: int, k: int, seed: int, max_draws: int = 10000):
             if m != f:
                 assignment[m] = k  # disjoint from every downset: A > F_i rules A out of D_{F_j}
 
-    items, remap = _canonicalize(assignment.items())
-    col = Coloring(n, items)
-    meta = FkMeta(n, k, l, cap, tuple(centers),
-                  tuple(remap[i] for i in range(1, k)), remap[k])
-    return col, meta
+    col = Coloring(n, assignment)
+    # no center lies in another's downset or punctured upset; [n] tops as size < n
+    down_colors = tuple(col.color(f) for f in centers)
+    return col, FkMeta(n, k, l, cap, tuple(centers), down_colors, col.color(full_mask(n)))
 
 
 def fk_structural_ok(col: Coloring, meta: FkMeta) -> bool:

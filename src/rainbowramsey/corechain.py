@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .lattice import Family, LatticeError, full_mask, is_subset, set_repr, submasks
+from .lattice import Family, LatticeError, canonical_order, full_mask, is_subset, set_repr, submasks
 
 
 class CoreChainError(ValueError):
@@ -72,12 +72,6 @@ class CoreChain:
     def to_json(self) -> str:
         return json.dumps({"chain": list(self.chain),
                            "owners": list(self.block_owner)})
-
-    @staticmethod
-    def from_json(text: str, ground: int) -> "CoreChain":
-        obj = json.loads(text)
-        owners = tuple(None if o is None else int(o) for o in obj["owners"])
-        return CoreChain(ground, tuple(int(m) for m in obj["chain"]), owners)
 
 
 def core_chain(fams) -> CoreChain:
@@ -190,7 +184,7 @@ def random_comparable_pair(n: int, rng, l: int = 2):
             mask |= 1 << i
         points.append(mask)
     points.append(full_mask(n))
-    points = sorted(set(points), key=lambda m: m.bit_count())
+    points = canonical_order(set(points))
     members = [set() for _ in range(l)]
     for j in range(len(points) - 1):
         lo, hi = points[j], points[j + 1]

@@ -144,6 +144,12 @@ def canonical_key(mask: int):
     return (mask.bit_count(), mask)
 
 
+def canonical_order(masks) -> list:
+    """masks sorted by canonical_key, by two C-keyed stable sorts: by mask,
+    then by size."""
+    return sorted(sorted(masks), key=int.bit_count)
+
+
 @dataclass(frozen=True)
 class Family:
     """A deduplicated family of subsets of [n], members in level order."""
@@ -159,8 +165,7 @@ class Family:
         for m in uniq:
             if m & ~full:
                 raise LatticeError(f"mask {m:#x} has bits outside ground [{ground}]")
-        # the canonical_key order, by two C-keyed sorts
-        return Family(ground, tuple(sorted(sorted(uniq), key=int.bit_count)))
+        return Family(ground, tuple(canonical_order(uniq)))
 
     @staticmethod
     def whole_cube(n: int) -> "Family":
@@ -206,6 +211,8 @@ class Family:
     @staticmethod
     def from_json(text: str) -> "Family":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise LatticeError("FAM JSON: not an object")
         if not isinstance(obj["sets"], list):
             raise LatticeError("FAM JSON: sets must be a list of masks")
         try:

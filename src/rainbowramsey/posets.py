@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .lattice import Family, is_subset, levels_family, order_rows
+from .lattice import Family, _json_int, is_subset, levels_family, order_rows
 
 
 class PosetError(ValueError):
@@ -97,7 +97,17 @@ class PosetPattern:
     @staticmethod
     def from_json(text: str) -> "PosetPattern":
         obj = json.loads(text)
-        return PosetPattern(int(obj["size"]), tuple(tuple(bool(v) for v in row) for row in obj["leq"]))
+        if not isinstance(obj, dict):
+            raise PosetError("poset JSON: not an object")
+        leq = obj["leq"]
+        if not isinstance(leq, list) or not all(
+                isinstance(row, list) and all(type(v) is bool for v in row) for row in leq):
+            raise PosetError("poset JSON: leq must be a list of rows of true/false")
+        try:
+            size = _json_int(obj["size"])
+        except TypeError:
+            raise PosetError("poset JSON: size must be an integer") from None
+        return PosetPattern(size, tuple(map(tuple, leq)))
 
 
 class _Kind(NamedTuple):

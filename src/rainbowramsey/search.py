@@ -21,7 +21,7 @@ from math import comb, lcm
 from operator import and_
 from typing import NamedTuple
 
-from .lattice import all_masks, canonical_key, order_rows
+from .lattice import all_masks, canonical_order, order_rows
 # lubell_interval is not called here; kept because the benchmark traces search.lubell_interval
 from .lubell import binom, lubell_interval
 from .colorings import Coloring, _chain_config_coloring, _rainbow_strong_antichain
@@ -96,7 +96,7 @@ class _Cube(NamedTuple):
 @cache
 def _cube(n):
     """The _Cube of B_n, built once per n from lattice.order_rows."""
-    masks = tuple(sorted(all_masks(n), key=canonical_key))
+    masks = tuple(canonical_order(all_masks(n)))
     ends = frozenset(accumulate(binom(n, l) for l in range(n + 1)))
     values = all_masks(n)
     up, down = order_rows(values)

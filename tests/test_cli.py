@@ -70,6 +70,18 @@ def test_corechain_subcommand(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)["result"]
     assert obj["valid"] and obj["chain"][0] == 0 and obj["chain"][-1] == 7
+    # the result bodies, chain and owners as CoreChain.to_json writes them
+    pins = [
+        (3, [0b001, 0b111], [0b011],
+         "6e3fec68678a902fe63ecec0dac833b21a48fca01a9a70c8a40028bf867dfb71"),
+        (4, [0b0001, 0b0010, 0b0011], [0b0111, 0b1011, 0b1111],
+         "9579fc7ce95e6ad4eb2d64129ea973ca259e19610ed0c12f66343800317fa030"),
+    ]
+    for n, a, b, digest in pins:
+        f1.write_text(Family.make(n, a).to_json())
+        f2.write_text(Family.make(n, b).to_json())
+        _, out = run_cli(capsys, "corechain", "--family", str(f1), "--family", str(f2))
+        assert json.loads(out)["manifest"]["result_digest"] == digest
 
 
 def test_coloring_gen_check_pipeline(tmp_path, capsys):

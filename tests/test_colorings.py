@@ -20,6 +20,7 @@ from rainbowramsey.posets import PosetPattern, _search_embedding, poset_by_name,
 from rainbowramsey.colorings import (
     Coloring,
     ColoringError,
+    FkMeta,
     consecutive_level_coloring,
     f2_lower_coloring,
     find_pattern,
@@ -58,7 +59,17 @@ def test_canonical_order_matches_canonical_key_sort():
             want = []
             for m, c in sorted(pairs, key=lambda mc: canonical_key(mc[0])):
                 want.append((m, remap.setdefault(c, len(remap))))
-            assert Coloring(n, pairs, total=not trial).items == tuple(want)
+            col = Coloring(n, pairs, total=not trial)
+            assert col.items == tuple(want)
+            # the accessors agree with literal scans over items
+            colors = [c for _, c in col.items]
+            assert col.num_colors == len(set(colors))
+            assert col.class_sizes() == [colors.count(c) for c in range(col.num_colors)]
+            assert col.classes() == {c: tuple(m for m, d in col.items if d == c)
+                                     for c in set(colors)}
+            for c in range(col.num_colors + 1):   # the last one absent
+                members = [m for m, d in col.items if d == c]
+                assert col.class_family(c) == Family.make(n, members)
             repeated = masks + rng.sample(masks, len(masks) // 2)
             rng.shuffle(repeated)
             assert Family.make(n, repeated).members == tuple(sorted(masks, key=canonical_key))
@@ -284,8 +295,49 @@ def test_fk_random_refuses_empty_classes():
     # center passes the intersection cap and leaves its own class empty
     with pytest.raises(ColoringError, match="center size 0 below n=0"):
         fk_random_coloring(0, 2, seed=1)
-    with pytest.raises(ColoringError, match="exhausted"):
+    with pytest.raises(ColoringError, match="2 distinct centers of size 0"):
         fk_random_coloring(1, 3, seed=1)
+
+
+def test_fk_random_refuses_impossible_counts_before_drawing(monkeypatch):
+    # fewer than k - 1 sets of the center size: refused before any draw
+    def draw(*args):
+        raise AssertionError("a center was drawn")
+
+    monkeypatch.setattr(random.Random, "sample", draw)
+    for n, k, count in ((1, 3, 1), (3, 6, 3)):
+        with pytest.raises(ColoringError, match=f"{k - 1} distinct centers.* only {count}"):
+            fk_random_coloring(n, k, seed=1)
+    with pytest.raises(AssertionError, match="drawn"):
+        fk_random_coloring(14, 3, seed=1)
+
+
+def test_fk_meta_matches_the_sorted_renaming():
+    # FkMeta names each paper class 1..k by its color under the old
+    # construction: sort the assignment by canonical_key, rename first-seen
+    for n in range(2, 11):
+        for k in range(2, 6):
+            for seed in range(3):
+                try:
+                    col, meta = fk_random_coloring(n, k, seed=seed, max_draws=300)
+                except ColoringError:
+                    continue
+                assignment = {}
+                for i, f in enumerate(meta.centers, start=1):
+                    for m in all_masks(n):
+                        if is_subset(m, f):
+                            assignment.setdefault(m, i)
+                for f in meta.centers:
+                    for m in all_masks(n):
+                        if is_subset(f, m) and m != f:
+                            assignment[m] = k
+                remap = {}
+                items = []
+                for m in sorted(assignment, key=canonical_key):
+                    items.append((m, remap.setdefault(assignment[m], len(remap))))
+                assert col.items == tuple(items)
+                assert meta == FkMeta(n, k, meta.l, meta.cap_intersection, meta.centers,
+                                      tuple(remap[i] for i in range(1, k)), remap[k])
 
 
 def test_fk_structural_ok_refuses_misplaced_sets():

@@ -125,6 +125,8 @@ def test_family_json_round_trip():
     fam = Family.make(5, [0b00111, 0b10001])
     assert Family.from_json(fam.to_json()) == fam
     assert '"n": 5' in fam.to_json()
+    with pytest.raises(LatticeError, match="not an object"):
+        Family.from_json("[5, [7, 17]]")
 
 
 def test_order_rows_match_subset_definitions():

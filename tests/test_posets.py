@@ -165,6 +165,25 @@ def test_poset_json_round_trip():
     assert poset_by_name("L3") == standard_poset("broom", 3)
 
 
+def test_poset_json_refuses_loose_input():
+    # a float size is not truncated, a relation is a JSON boolean, not any
+    # truthy value, and the top level is an object
+    chain = '{"size": 2, "leq": [[true, true], [false, true]]}'
+    assert PosetPattern.from_json(chain) == standard_poset("chain", 2)
+    bad = {
+        '{"size": 2.9, "leq": [[true, true], [false, true]]}': "size must be an integer",
+        '{"size": true, "leq": [[true]]}': "size must be an integer",
+        '{"size": 2, "leq": [[1, "no"], [0, 1]]}': "true/false",
+        '{"size": 2, "leq": [[true, 1], [false, true]]}': "true/false",
+        '{"size": 1, "leq": [true]}': "true/false",
+        '{"size": 1, "leq": {"0": [true]}}': "true/false",
+        '[2, [[true, true], [false, true]]]': "not an object",
+    }
+    for text, message in bad.items():
+        with pytest.raises(PosetError, match=message):
+            PosetPattern.from_json(text)
+
+
 def test_find_copy_spec_examples():
     b2 = Family.whole_cube(2)
     emb = find_copy(b2, standard_poset("fork", 2), "weak")
