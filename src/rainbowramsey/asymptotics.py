@@ -149,14 +149,14 @@ GRID_CLAIMS = (("tech-a", 1e-3), ("tech-b", 1e-3), ("tech-c", 1e-3), ("ineq1", 1
 # finest default, gives 37.5M points on tech-b and tech-c.
 GRID_MAX_POINTS = 50_000_000
 # ineq1 evaluates every point (about 0.5 us each, where the tech scans
-# skip most), so its grids have a cap of their own: 5M points, a few
-# seconds.
+# bound whole index ranges, a few thousand bounds per grid at step
+# 1e-3), so its grids have a cap of their own: 5M points, a few seconds.
 _INEQ1_MAX_POINTS = 5_000_000
 
-# Beta indices per bounded block of a tech scan: one bound per block is
-# cheap next to the points it skips, and a block that must be evaluated
-# costs few points.
-_BETA_BLOCK = 32
+# The first pass of a tech scan reads every _FLOOR_STRIDE-th alpha row:
+# its worst point is a floor that lets the full pass skip early rows far
+# below the maximum, at a small share of the full pass's bounds.
+_FLOOR_STRIDE = 32
 
 
 @dataclass(frozen=True)
@@ -190,26 +190,62 @@ def _refuse_points(check, grid_step, cap=GRID_MAX_POINTS):
                            f"{cap} grid points; use a larger step")
 
 
-def _tech_scan(check, grid_step):
-    """Worst point of a tech grid, scanning each alpha row's beta indices
-    in blocks of _BETA_BLOCK and skipping a block whose bound cannot beat
-    the running worst.
-
-    The skip is exact.  IEEE 754 rounding is monotone, so each operation
-    in the value is non-decreasing in each argument it grows with:
-    j -> fl(j * step) and min(., alpha) are non-decreasing, so
-    b0 <= beta_j <= b1 for j0 <= j <= j1; den = fl(1 - fl(alpha - beta))
-    does not decrease as beta grows, so 1/den (inf at den <= 0) does not
-    increase, and inv_j <= inv0; fl(x + y), fl(x - c) and min are
-    monotone in each argument.  Hence the first term at (beta_j, inv_j)
-    is at most its value at (b1, inv0), the second term at beta_j at
-    most its value at b1, and val_j <= ub = fl(min(t, u) - target) for
-    every j in the block.  The per-point scan takes a point only when
-    val > worst, so a block with ub <= worst holds no point it would
-    take, and skipping it leaves max_violation and argmax bit-identical.
-    Unskipped blocks are evaluated point by point in the same order.
-    """
+def _bisect_rows(check, grid_step, rows, floor):
+    """Worst point of the given alpha rows, in scan order, among the
+    points whose value is not below floor: each row's beta index range is
+    bisected, left half first, and a range is skipped when its bound
+    cannot beat the running worst or lies strictly below floor."""
     target = 1.0 + SQRT2
+    worst = float("-inf")
+    arg = ()
+    for alpha, steps_b in rows:
+        stack = [(0, steps_b)]
+        while stack:
+            j0, j1 = stack.pop()
+            b1 = min(j1 * grid_step, alpha)
+            ub = _tech_bound(check, alpha, min(j0 * grid_step, alpha), b1) - target
+            if ub <= worst or ub < floor:
+                continue
+            if j0 == j1:
+                worst = ub
+                arg = (alpha, b1)
+                continue
+            mid = (j0 + j1) // 2
+            stack.append((mid + 1, j1))
+            stack.append((j0, mid))
+    return worst, arg
+
+
+def _tech_scan(check, grid_step):
+    """Worst point of a tech grid by an exact two-pass branch and bound.
+
+    Each alpha row's beta indices [0, steps_b] are bisected on a stack,
+    left half first, so the ranges that survive are met in scan order; a
+    range [j0, j1] is bounded by _tech_bound at b0 = beta_j0, b1 =
+    beta_j1.  The bound holds for any index range.  IEEE 754 rounding is
+    monotone, so each operation in the value is non-decreasing in each
+    argument it grows with: j -> fl(j * step) and min(., alpha) are
+    non-decreasing, so b0 <= beta_j <= b1 for j0 <= j <= j1; den =
+    fl(1 - fl(alpha - beta)) does not decrease as beta grows, so 1/den
+    (inf at den <= 0) does not increase, and inv_j <= inv0; fl(x + y),
+    fl(x - c) and min are monotone in each argument.  Hence the first
+    term at (beta_j, inv_j) is at most its value at (b1, inv0), the
+    second term at beta_j at most its value at b1, and val_j <= ub =
+    fl(min(t, u) - target) for every j in the range.  A one-index range
+    has b0 = b1 = beta_j, so its bound is the point's value itself.
+
+    The per-point scan takes a point only when val > worst, so a range
+    with ub <= worst holds no point it would take.  The first pass runs
+    the same scan over every _FLOOR_STRIDE-th row; its worst is the value
+    of a grid point, a floor at most the grid's maximum M.  The full pass
+    over every row in order also skips a range with ub < floor: each of
+    its points is below M, so none is the first point of value M, which
+    the per-point scan reports, and every range holding that point has
+    ub >= M >= floor and ub > worst.  The comparison with the floor must
+    stay strict, as the first pass may have found that very point (tech-c
+    at (0.5, 0.0)).  So max_violation and argmax are bit-identical to
+    evaluating every point in order.
+    """
     a_lo, a_hi = (grid_step, 0.5) if check == "tech-a" else (0.5, 1.0)
     if (a_hi - a_lo) / grid_step > GRID_MAX_POINTS:
         _refuse_points(check, grid_step)
@@ -222,21 +258,8 @@ def _tech_scan(check, grid_step):
         if points > GRID_MAX_POINTS:
             _refuse_points(check, grid_step)
         rows.append((alpha, steps_b))
-    worst = float("-inf")
-    arg = ()
-    for alpha, steps_b in rows:
-        for j0 in range(0, steps_b + 1, _BETA_BLOCK):
-            j1 = min(j0 + _BETA_BLOCK - 1, steps_b)
-            b0 = min(j0 * grid_step, alpha)
-            b1 = min(j1 * grid_step, alpha)
-            if _tech_bound(check, alpha, b0, b1) - target <= worst:
-                continue
-            for j in range(j0, j1 + 1):
-                beta = min(j * grid_step, alpha)
-                val = _tech_bound(check, alpha, beta, beta) - target
-                if val > worst:
-                    worst = val
-                    arg = (alpha, beta)
+    floor, _ = _bisect_rows(check, grid_step, rows[::_FLOOR_STRIDE], float("-inf"))
+    worst, arg = _bisect_rows(check, grid_step, rows, floor)
     return GridReport(check, worst, arg, points, grid_step)
 
 
@@ -248,11 +271,12 @@ def inequality_grid(check: str, grid_step: float = 1e-3) -> GridReport:
     0 <= beta <= alpha <= 1 and target 1 + sqrt(2).  ineq1:
     beta(-beta^2 + (1 + 2 sqrt 2) beta - 2) <= 0 for beta in [0, 1/2].
 
-    The report is that of evaluating every grid point in order; the tech
-    grids skip blocks of points that provably cannot raise the maximum
-    (_tech_scan).  A step that is not finite and positive, or a grid of
-    more than GRID_MAX_POINTS points (ineq1: _INEQ1_MAX_POINTS), is
-    refused before any evaluation.
+    The report is that of evaluating every grid point in order.  The tech
+    grids bisect each alpha row's beta indices and skip a range whose
+    bound shows it cannot hold the reported point, in two passes: a
+    sample of rows first for a floor, then every row (_tech_scan).  A step that
+    is not finite and positive, or a grid of more than GRID_MAX_POINTS
+    points (ineq1: _INEQ1_MAX_POINTS), is refused before any evaluation.
     """
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise AsymptoticsError(f"grid_step must be finite and positive, got {grid_step!r}")

@@ -11,6 +11,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 from .lattice import Family, _json_int, is_subset, levels_family, order_rows
@@ -31,17 +32,24 @@ class PosetPattern:
         k = self.size
         if len(self.leq) != k or any(len(row) != k for row in self.leq):
             raise PosetError("leq must be a size x size matrix")
-        for i in range(k):
-            if not self.leq[i][i]:
+        # up[i] holds the j with i <= j.  The pairs are tested in the
+        # order of the per-entry triple loop (i, then each j above i
+        # lowest first), so the first fault found, and its message, are
+        # the same; transitivity at (i, j) is up[j] within up[i].
+        weights = [1 << j for j in range(k)]
+        up = [sum(compress(weights, row)) for row in self.leq]
+        for i, row in enumerate(up):
+            if not row >> i & 1:
                 raise PosetError("leq must be reflexive")
-            for j in range(k):
-                if not self.leq[i][j]:
-                    continue
-                if i != j and self.leq[j][i]:
+            rest = row
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                if i != j and up[j] >> i & 1:
                     raise PosetError("leq must be antisymmetric")
-                for l in range(k):
-                    if self.leq[j][l] and not self.leq[i][l]:
-                        raise PosetError("leq must be transitive")
+                if up[j] & ~row:
+                    raise PosetError("leq must be transitive")
 
     def less(self, i: int, j: int) -> bool:
         return i != j and self.leq[i][j]
@@ -127,9 +135,9 @@ _KINDS = {
     "gen-diamond": _Kind("D", 2, 2, "generalized diamond D_k needs k >= 2",
                          lambda k, i, j: i in (0, j) or j == k + 1),
 }
-# the largest named pattern: building one takes memory quadratic in its
-# size (time cubic for a chain, to validate it), and a B_8, the largest
-# cube a search reaches, holds 256 sets
+# the largest named pattern: building one takes memory and time quadratic
+# in its size, and a B_8, the largest cube a search reaches, holds 256
+# sets
 _PATTERN_SIZE_MAX = 256
 
 

@@ -149,8 +149,44 @@ def _seeded_grid_steps():
 
 @pytest.mark.parametrize("check", ["tech-a", "tech-b", "tech-c"])
 def test_tech_grid_matches_literal_scan(check):
-    for step in _seeded_grid_steps():
+    # and two steps below the 2e-3 floor of the seeded ones
+    for step in [*_seeded_grid_steps(), 7e-4, 1.3e-3]:
         assert repr(inequality_grid(check, step)) == repr(_literal_tech_grid(check, step)), step
+
+
+def test_tech_grids_pinned_at_step_1e_4():
+    # recorded with the 32-point block scan, bit-identical to the literal
+    # scan, which is too slow at 37.5M points to run here
+    pinned = {
+        "tech-a": "GridReport(claim='tech-a', max_violation=-7.904547312920229e-05, "
+                  "argmax=(0.2929, 0.0), points=12506560, step=0.0001)",
+        "tech-b": "GridReport(claim='tech-b', max_violation=-7.904547312831411e-05, "
+                  "argmax=(0.7071000000000001, 0.0), points=37511388, step=0.0001)",
+        "tech-c": "GridReport(claim='tech-c', max_violation=-0.4142135623730949, "
+                  "argmax=(0.5, 0.0), points=37511388, step=0.0001)",
+    }
+    for check, text in pinned.items():
+        assert repr(inequality_grid(check, 1e-4)) == text
+
+
+def test_tech_scan_bound_calls(monkeypatch):
+    # the work, pinned without timing: bound evaluations at step 1e-3
+    # (the 32-point block scan made 27,658, 19,391 and 12,631; the
+    # bisection scan makes 1,764, 3,099 and 3,759)
+    from rainbowramsey import asymptotics
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bound(*args)
+
+    bound = asymptotics._tech_bound
+    monkeypatch.setattr(asymptotics, "_tech_bound", counted)
+    for check, limit in (("tech-a", 2_000), ("tech-b", 3_500), ("tech-c", 4_000)):
+        calls.clear()
+        inequality_grid(check, 1e-3)
+        assert len(calls) <= limit, (check, len(calls))
 
 
 def test_tech_c_argmax_on_balance_line():

@@ -152,6 +152,14 @@ def test_inequalities_subcommand(capsys):
     assert code == 0
     res = json.loads(out)["result"]["checks"][0]
     assert res["max_violation"] <= 1e-12
+    # every claim at its own step: the result body recorded with the
+    # 32-point block scan of the tech grids
+    code, out = run_cli(capsys, "inequalities")
+    obj = json.loads(out)
+    text = json.dumps(obj["result"], sort_keys=True, separators=(",", ":"))
+    digest = "3ff155e6bcad705041b29b766975c4f3838e51b45e258065d0c619dc681feaff"
+    assert code == 0 and hashlib.sha256(text.encode()).hexdigest() == digest
+    assert obj["manifest"]["result_digest"] == digest
 
 
 def test_repro_subcommand(capsys):

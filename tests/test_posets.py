@@ -159,6 +159,51 @@ def test_pattern_validation():
         PosetPattern(3, ((True, True, False), (False, True, True), (False, False, True)))
 
 
+def _triple_loop_fault(leq):
+    """The per-entry validation: the message of the first fault in the
+    order i, j, l, or None.  Reference for the row-bitset check."""
+    k = len(leq)
+    for i in range(k):
+        if not leq[i][i]:
+            return "leq must be reflexive"
+        for j in range(k):
+            if not leq[i][j]:
+                continue
+            if i != j and leq[j][i]:
+                return "leq must be antisymmetric"
+            for l in range(k):
+                if leq[j][l] and not leq[i][l]:
+                    return "leq must be transitive"
+    return None
+
+
+def test_pattern_validation_matches_triple_loop():
+    # orders of random subsets (strict inclusion), some entries flipped,
+    # and some relations written as 0 / 1: the same verdict and message
+    rng = random.Random(20261020)
+    faults = set()
+    for _ in range(4000):
+        k = rng.randrange(0, 8)
+        sets = [rng.getrandbits(4) for _ in range(k)]
+        leq = [[i == j or (a & b == a and a != b) for j, b in enumerate(sets)]
+               for i, a in enumerate(sets)]
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            if k:
+                i, j = rng.randrange(k), rng.randrange(k)
+                leq[i][j] = not leq[i][j]
+        if rng.random() < 0.2:
+            leq = [[int(v) for v in row] for row in leq]
+        expected = _triple_loop_fault(leq)
+        faults.add(expected)
+        try:
+            PosetPattern(k, tuple(map(tuple, leq)))
+        except PosetError as exc:
+            assert str(exc) == expected, leq
+        else:
+            assert expected is None, leq
+    assert len(faults) == 4  # valid, and each of the three faults
+
+
 def test_poset_json_round_trip():
     v3 = standard_poset("fork", 3)
     assert PosetPattern.from_json(v3.to_json()) == v3
