@@ -145,16 +145,13 @@ def rainbow_antichain_bound(inputs: BoundInputs) -> dict:
 # subcommand, criterion 12 and demo 06 all read this table.
 GRID_CLAIMS = (("tech-a", 1e-3), ("tech-b", 1e-3), ("tech-c", 1e-3), ("ineq1", 1e-4))
 
-# A grid of more points is refused before any evaluation.  Step 1e-4, the
-# finest default, gives 37.5M points on tech-b and tech-c.
-GRID_MAX_POINTS = 50_000_000
-# ineq1 evaluates every point (about 0.5 us each, where the tech scans
-# bound whole index ranges, a few thousand bounds per grid at step
-# 1e-3), so its grids have a cap of their own: 5M points, a few seconds.
-_INEQ1_MAX_POINTS = 5_000_000
+# A tech grid of more alpha rows is refused before any row is built: the
+# scan's cost follows the rows, not the points.  On a 2-CPU Xeon step 1e-5
+# (50,001 rows) takes about 0.5 s per claim, step 5e-6 (100,001) about 1 s.
+GRID_MAX_ROWS = 100_000
 
-# The first pass of a tech scan reads every _FLOOR_STRIDE-th alpha row:
-# its worst point is a floor that lets the full pass skip early rows far
+# The first pass of a scan reads every _FLOOR_STRIDE-th alpha row: its
+# worst point is a floor that lets the full pass skip early rows far
 # below the maximum, at a small share of the full pass's bounds.
 _FLOOR_STRIDE = 32
 
@@ -168,26 +165,23 @@ class GridReport:
     step: float
 
 
-def _ineq1_value(beta):
-    return beta * (-beta * beta + (1.0 + 2.0 * SQRT2) * beta - 2.0)
-
-
-def _tech_bound(check, alpha, b0, b1):
-    """The tech claim's expressions with beta at b1 but the inverse taken
-    at b0: at b0 = b1 = beta the value at (alpha, beta), and for b0 < b1
-    a bound on the value at every beta in [b0, b1] (see _tech_scan)."""
+def _bound(check, alpha, b0, b1):
+    """The claim's violation with beta at b1 in the terms that grow with
+    beta and at b0 in those that fall: at b0 = b1 = beta the violation at
+    (alpha, beta), and for b0 < b1 a bound on it at every beta in [b0, b1]
+    (see _scan)."""
+    if check == "ineq1":
+        inner = -b0 * b0 + (1.0 + 2.0 * SQRT2) * b1 - 2.0
+        return (b0 if inner <= 0.0 else b1) * inner
     den = 1.0 - (alpha - b0)
     inv0 = 1.0 / den if den > 0.0 else math.inf  # alpha=1, beta=0 corner
     if check == "tech-a":
-        return min(1.0 + b1 + inv0, 1.0 / alpha - 1.0 + b1)
-    if check == "tech-b":
-        return min(b1 + inv0 - 1.0, 1.0 / alpha + 1.0 + b1)
-    return min(b1 + inv0, 1.0 / alpha + b1)
-
-
-def _refuse_points(check, grid_step, cap=GRID_MAX_POINTS):
-    raise AsymptoticsError(f"{check} at step {grid_step!r} needs more than "
-                           f"{cap} grid points; use a larger step")
+        val = min(1.0 + b1 + inv0, 1.0 / alpha - 1.0 + b1)
+    elif check == "tech-b":
+        val = min(b1 + inv0 - 1.0, 1.0 / alpha + 1.0 + b1)
+    else:
+        val = min(b1 + inv0, 1.0 / alpha + b1)
+    return val - (1.0 + SQRT2)
 
 
 def _bisect_rows(check, grid_step, rows, floor):
@@ -195,7 +189,6 @@ def _bisect_rows(check, grid_step, rows, floor):
     points whose value is not below floor: each row's beta index range is
     bisected, left half first, and a range is skipped when its bound
     cannot beat the running worst or lies strictly below floor."""
-    target = 1.0 + SQRT2
     worst = float("-inf")
     arg = ()
     for alpha, steps_b in rows:
@@ -203,7 +196,7 @@ def _bisect_rows(check, grid_step, rows, floor):
         while stack:
             j0, j1 = stack.pop()
             b1 = min(j1 * grid_step, alpha)
-            ub = _tech_bound(check, alpha, min(j0 * grid_step, alpha), b1) - target
+            ub = _bound(check, alpha, min(j0 * grid_step, alpha), b1)
             if ub <= worst or ub < floor:
                 continue
             if j0 == j1:
@@ -216,23 +209,31 @@ def _bisect_rows(check, grid_step, rows, floor):
     return worst, arg
 
 
-def _tech_scan(check, grid_step):
-    """Worst point of a tech grid by an exact two-pass branch and bound.
+def _scan(check, grid_step):
+    """Worst point of a grid by an exact two-pass branch and bound.
 
-    Each alpha row's beta indices [0, steps_b] are bisected on a stack,
-    left half first, so the ranges that survive are met in scan order; a
-    range [j0, j1] is bounded by _tech_bound at b0 = beta_j0, b1 =
-    beta_j1.  The bound holds for any index range.  IEEE 754 rounding is
-    monotone, so each operation in the value is non-decreasing in each
-    argument it grows with: j -> fl(j * step) and min(., alpha) are
-    non-decreasing, so b0 <= beta_j <= b1 for j0 <= j <= j1; den =
+    The grid is a list of (alpha, steps_b) rows: for a tech claim one per
+    alpha, for ineq1 the single row alpha = 1/2 (its argmax is (beta,)).
+    Each row's beta indices [0, steps_b] are bisected on a stack, left
+    half first, so the ranges that survive are met in scan order; a range
+    [j0, j1] is bounded by _bound at b0 = beta_j0, b1 = beta_j1.  The
+    bound holds for any index range.  IEEE 754 rounding is monotone, so
+    each operation in the value is non-decreasing in each argument it
+    grows with: j -> fl(j * step) and min(., alpha) are non-decreasing,
+    so 0 <= b0 <= beta_j <= b1 for j0 <= j <= j1.  In a tech claim den =
     fl(1 - fl(alpha - beta)) does not decrease as beta grows, so 1/den
     (inf at den <= 0) does not increase, and inv_j <= inv0; fl(x + y),
     fl(x - c) and min are monotone in each argument.  Hence the first
     term at (beta_j, inv_j) is at most its value at (b1, inv0), the
     second term at beta_j at most its value at b1, and val_j <= ub =
-    fl(min(t, u) - target) for every j in the range.  A one-index range
-    has b0 = b1 = beta_j, so its bound is the point's value itself.
+    fl(min(t, u) - target) for every j in the range.  In ineq1
+    fl(-b * b) does not increase and fl(c * b) does not decrease as b
+    grows, so inner_j <= inner = fl(fl(-b0 * b0 + fl(c * b1)) - 2).  If
+    inner <= 0, then beta_j * inner_j <= b0 * inner_j <= b0 * inner, as
+    inner_j <= 0 and b0 >= 0; if inner > 0, then beta_j * inner_j <=
+    beta_j * inner <= b1 * inner.  Rounding the product is monotone too,
+    so val_j <= ub.  A one-index range has b0 = b1 = beta_j, so its bound
+    is the point's value itself, -0.0 at ineq1's beta = 0 included.
 
     The per-point scan takes a point only when val > worst, so a range
     with ub <= worst holds no point it would take.  The first pass runs
@@ -246,21 +247,27 @@ def _tech_scan(check, grid_step):
     at (0.5, 0.0)).  So max_violation and argmax are bit-identical to
     evaluating every point in order.
     """
-    a_lo, a_hi = (grid_step, 0.5) if check == "tech-a" else (0.5, 1.0)
-    if (a_hi - a_lo) / grid_step > GRID_MAX_POINTS:
-        _refuse_points(check, grid_step)
-    rows = []
-    points = 0
-    for i in range(int(round((a_hi - a_lo) / grid_step)) + 1):
-        alpha = min(a_lo + i * grid_step, a_hi)
-        steps_b = int(alpha / grid_step)
-        points += steps_b + 1
-        if points > GRID_MAX_POINTS:
-            _refuse_points(check, grid_step)
-        rows.append((alpha, steps_b))
+    if check == "ineq1":
+        half = 0.5 / grid_step
+        if not math.isfinite(half):
+            raise AsymptoticsError(f"ineq1 at step {grid_step!r} needs an unbounded "
+                                   "grid row; use a larger step")
+        rows = [(0.5, round(half))]
+    else:
+        a_lo, a_hi = (grid_step, 0.5) if check == "tech-a" else (0.5, 1.0)
+        span = (a_hi - a_lo) / grid_step
+        if span >= GRID_MAX_ROWS or round(span) + 1 > GRID_MAX_ROWS:
+            raise AsymptoticsError(f"{check} at step {grid_step!r} needs more than "
+                                   f"{GRID_MAX_ROWS} grid rows; use a larger step")
+        rows = []
+        for i in range(round(span) + 1):
+            alpha = min(a_lo + i * grid_step, a_hi)
+            rows.append((alpha, int(alpha / grid_step)))
     floor, _ = _bisect_rows(check, grid_step, rows[::_FLOOR_STRIDE], float("-inf"))
     worst, arg = _bisect_rows(check, grid_step, rows, floor)
-    return GridReport(check, worst, arg, points, grid_step)
+    if check == "ineq1":
+        arg = arg[1:]
+    return GridReport(check, worst, arg, sum(s + 1 for _, s in rows), grid_step)
 
 
 def inequality_grid(check: str, grid_step: float = 1e-3) -> GridReport:
@@ -271,31 +278,16 @@ def inequality_grid(check: str, grid_step: float = 1e-3) -> GridReport:
     0 <= beta <= alpha <= 1 and target 1 + sqrt(2).  ineq1:
     beta(-beta^2 + (1 + 2 sqrt 2) beta - 2) <= 0 for beta in [0, 1/2].
 
-    The report is that of evaluating every grid point in order.  The tech
-    grids bisect each alpha row's beta indices and skip a range whose
-    bound shows it cannot hold the reported point, in two passes: a
-    sample of rows first for a floor, then every row (_tech_scan).  A step that
-    is not finite and positive, or a grid of more than GRID_MAX_POINTS
-    points (ineq1: _INEQ1_MAX_POINTS), is refused before any evaluation.
+    The report is that of evaluating every grid point in order.  Every
+    claim runs one scan (_scan): each alpha row's beta indices are
+    bisected and a range is skipped when its bound shows it cannot hold
+    the reported point, in two passes, a sample of rows first for a floor
+    and then every row.  A step that is not finite and positive, a tech
+    grid of more than GRID_MAX_ROWS rows, or an ineq1 row too long to
+    count in a float is refused before any evaluation.
     """
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise AsymptoticsError(f"grid_step must be finite and positive, got {grid_step!r}")
-    if check in ("tech-a", "tech-b", "tech-c"):
-        return _tech_scan(check, grid_step)
-    if check != "ineq1":
+    if check not in dict(GRID_CLAIMS):
         raise AsymptoticsError(f"unknown check {check!r}")
-    half = 0.5 / grid_step
-    if half > _INEQ1_MAX_POINTS or round(half) + 1 > _INEQ1_MAX_POINTS:
-        _refuse_points(check, grid_step, _INEQ1_MAX_POINTS)
-    worst = float("-inf")
-    arg = ()
-    points = 0
-    steps = int(round(half))
-    for i in range(steps + 1):
-        beta = min(i * grid_step, 0.5)
-        val = _ineq1_value(beta)
-        points += 1
-        if val > worst:
-            worst = val
-            arg = (beta,)
-    return GridReport(check, worst, arg, points, grid_step)
+    return _scan(check, grid_step)

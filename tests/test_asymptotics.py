@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from rainbowramsey import asymptotics
 from rainbowramsey.asymptotics import (
+    GRID_CLAIMS,
     AsymptoticsError,
     BoundInputs,
     GridReport,
@@ -169,24 +171,60 @@ def test_tech_grids_pinned_at_step_1e_4():
         assert repr(inequality_grid(check, 1e-4)) == text
 
 
+def _literal_ineq1_grid(grid_step):
+    """The per-point ineq1 scan over beta in [0, 1/2], updating the worst
+    on strict >.  Reference for the bounded scan."""
+    worst = float("-inf")
+    arg = ()
+    points = 0
+    for i in range(int(round(0.5 / grid_step)) + 1):
+        beta = min(i * grid_step, 0.5)
+        val = beta * (-beta * beta + (1.0 + 2.0 * math.sqrt(2.0)) * beta - 2.0)
+        points += 1
+        if val > worst:
+            worst = val
+            arg = (beta,)
+    return GridReport("ineq1", worst, arg, points, grid_step)
+
+
+def test_ineq1_grid_matches_literal_scan():
+    # 2.5e-7 gives a row of 2,000,001 points
+    for step in [*_seeded_grid_steps(), 1e-4, 2.5e-7]:
+        assert repr(inequality_grid("ineq1", step)) == repr(_literal_ineq1_grid(step)), step
+
+
 def test_tech_scan_bound_calls(monkeypatch):
     # the work, pinned without timing: bound evaluations at step 1e-3
     # (the 32-point block scan made 27,658, 19,391 and 12,631; the
-    # bisection scan makes 1,764, 3,099 and 3,759)
-    from rainbowramsey import asymptotics
-
+    # bisection scan makes 1,764, 3,099 and 3,759), and for ineq1 at
+    # step 1e-4 54 against its 5,001 points
     calls = []
 
     def counted(*args):
         calls.append(args)
         return bound(*args)
 
-    bound = asymptotics._tech_bound
-    monkeypatch.setattr(asymptotics, "_tech_bound", counted)
-    for check, limit in (("tech-a", 2_000), ("tech-b", 3_500), ("tech-c", 4_000)):
+    bound = asymptotics._bound
+    monkeypatch.setattr(asymptotics, "_bound", counted)
+    for check, step, limit in (("tech-a", 1e-3, 2_000), ("tech-b", 1e-3, 3_500),
+                               ("tech-c", 1e-3, 4_000), ("ineq1", 1e-4, 64)):
         calls.clear()
-        inequality_grid(check, 1e-3)
+        inequality_grid(check, step)
         assert len(calls) <= limit, (check, len(calls))
+
+
+def test_grid_refusals_before_any_bound(monkeypatch):
+    # a tech grid past GRID_MAX_ROWS rows, and a step whose ineq1 row
+    # 0.5 / step overflows, are refused before any evaluation
+    def evaluated(*args):
+        raise AssertionError("bound evaluated")
+
+    monkeypatch.setattr(asymptotics, "_bound", evaluated)
+    refused = [("tech-a", 1e-7), ("tech-b", 5e-6)]
+    refused += [(check, 5e-324) for check, _ in GRID_CLAIMS]
+    for check, step in refused:
+        with pytest.raises(AsymptoticsError, match="grid row"):
+            inequality_grid(check, step)
 
 
 def test_tech_c_argmax_on_balance_line():

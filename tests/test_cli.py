@@ -4,7 +4,7 @@ import time
 import warnings
 from math import comb
 
-from rainbowramsey import asymptotics, colorings, lubell, posets, search
+from rainbowramsey import colorings, lubell, posets, search
 from rainbowramsey.cli import main
 from rainbowramsey.lattice import Family
 
@@ -288,33 +288,29 @@ def test_fork_f_refuses_k_below_1(capsys):
 
 
 def test_inequalities_step_guards(capsys):
-    # not finite and positive, or more than GRID_MAX_POINTS points: 1e-7
-    # asks about 1.25e12 points of tech-a, 5e-9 asks 1e8 of ineq1
+    # not finite and positive, or a tech grid of more than GRID_MAX_ROWS
+    # rows: 1e-7 asks about 5e6 rows of tech-a, 5e-324 an ineq1 row whose
+    # length overflows
     for check, step in [(c, s) for c in ("tech-a", "ineq1")
                         for s in ("0", "-1e-3", "inf", "nan", "5e-324")]:
         assert main(["inequalities", "--check", check, "--step", step]) == 1, (check, step)
     assert main(["inequalities", "--check", "tech-a", "--step", "1e-7"]) == 1
-    assert main(["inequalities", "--check", "ineq1", "--step", "5e-9"]) == 1
     err = capsys.readouterr().err
-    assert "finite and positive" in err and "points" in err
+    assert "finite and positive" in err and "100000 grid rows" in err
     code, out = run_cli(capsys, "inequalities", "--check", "tech-c", "--step", "0.25")
     row = json.loads(out)["result"]["checks"][0]
     assert code == 0 and row["step"] == 0.25 and row["points"] == 12
 
 
-def test_ineq1_point_cap(capsys, monkeypatch):
-    # ineq1 evaluates every point, so its cap is 5M points: step 1.1e-8
-    # (45M points, over 20 s of evaluation) is refused before any point
-    def evaluated(beta):
-        raise AssertionError("ineq1 point evaluated")
-
-    with monkeypatch.context() as m:
-        m.setattr(asymptotics, "_ineq1_value", evaluated)
-        assert main(["inequalities", "--check", "ineq1", "--step", "1.1e-8"]) == 1
-    assert "5000000 grid points" in capsys.readouterr().err
-    code, out = run_cli(capsys, "inequalities", "--check", "ineq1", "--step", "2.5e-7")
-    row = json.loads(out)["result"]["checks"][0]
-    assert code == 0 and row["points"] == 2_000_001 and row["max_violation"] <= 0
+def test_inequalities_fine_steps_admitted(capsys):
+    # the scan's cost follows the rows, not the points: tech-b at 5e-5
+    # (150M points) and ineq1 at 5e-9 (1e8 points) run at once
+    for check, step, points in (("tech-b", "5e-5", 150_022_782),
+                                ("ineq1", "2.5e-7", 2_000_001),
+                                ("ineq1", "5e-9", 100_000_001)):
+        code, out = run_cli(capsys, "inequalities", "--check", check, "--step", step)
+        row = json.loads(out)["result"]["checks"][0]
+        assert code == 0 and row["points"] == points and row["max_violation"] <= 0, check
 
 
 def test_search_n_cap_refused(capsys, monkeypatch):
@@ -453,6 +449,19 @@ def test_trace_r_set_is_a_set_of_elements(capsys):
     for elem in ("0", "4"):
         assert main(["coloring", "gen", "--kind", "trace", "--n", "3", "--r-set", elem]) == 1
         assert f"element {elem} outside ground [3]" in capsys.readouterr().err
+
+
+def test_huge_ground_refused_before_any_mask(tmp_path, capsys):
+    # an element of 10^12 on a ground of 10^12 would set bit 10^12 - 1 of
+    # a mask; the ground is refused first, with an error line
+    path = tmp_path / "f.txt"
+    path.write_text("n=1000000000000\n1000000000000\n")
+    for argv in (["coloring", "gen", "--kind", "trace", "--n", "1000000000000",
+                  "--r-set", "1000000000000"], ["lubell", "--family", str(path)]):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "error: ground size 1000000000000 outside [0, 63]"), argv
 
 
 def test_constants_refuses_k_max_past_cap(capsys):
