@@ -263,6 +263,9 @@ def _scan(check, grid_step):
         for i in range(round(span) + 1):
             alpha = min(a_lo + i * grid_step, a_hi)
             rows.append((alpha, int(alpha / grid_step)))
+        if not rows:   # tech-a past step 1
+            raise AsymptoticsError(f"{check} at step {grid_step!r} has no grid point; "
+                                   "use a smaller step")
     floor, _ = _bisect_rows(check, grid_step, rows[::_FLOOR_STRIDE], float("-inf"))
     worst, arg = _bisect_rows(check, grid_step, rows, floor)
     if check == "ineq1":
@@ -283,8 +286,8 @@ def inequality_grid(check: str, grid_step: float = 1e-3) -> GridReport:
     bisected and a range is skipped when its bound shows it cannot hold
     the reported point, in two passes, a sample of rows first for a floor
     and then every row.  A step that is not finite and positive, a tech
-    grid of more than GRID_MAX_ROWS rows, or an ineq1 row too long to
-    count in a float is refused before any evaluation.
+    grid of no row (tech-a past step 1) or over GRID_MAX_ROWS rows, or an
+    ineq1 row too long to count in a float is refused before evaluation.
     """
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise AsymptoticsError(f"grid_step must be finite and positive, got {grid_step!r}")

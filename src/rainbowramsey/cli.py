@@ -25,6 +25,7 @@ from .posets import poset_by_name
 from .corechain import core_chain, validate_core_chain
 from .colorings import Coloring, generate, thin_antichain, validate_witness
 from .search import (
+    TWO_COLOR_N_MAX,
     SearchResult,
     fork_f_small,
     fork_g,
@@ -113,6 +114,8 @@ def _cmd_two_color(args):
     if args.sweep is not None:
         if args.sweep < args.n:
             raise _UsageError(f"--sweep must be >= --n ({args.n}), got {args.sweep}")
+        if args.sweep > TWO_COLOR_N_MAX:
+            raise _UsageError(f"--sweep must be <= {TWO_COLOR_N_MAX}, got {args.sweep}")
         rows = []
         for n in range(args.n, args.sweep + 1):
             res = two_color_partial_exact(n, args.objective)
@@ -351,7 +354,7 @@ def _build_parser():
     p = sub.add_parser("inequalities", parents=[common])
     p.add_argument("--check", choices=[c for c, _ in GRID_CLAIMS])
     p.add_argument("--step", type=float, help="grid step for every check run "
-                   "(default: each check's own); must be finite and positive")
+                   "(default: each check's own); finite and positive, at most 1 for tech-a")
     p.set_defaults(handler=_cmd_inequalities)
 
     p = sub.add_parser("repro", parents=[common])

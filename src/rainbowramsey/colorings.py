@@ -14,7 +14,7 @@ from math import comb, isqrt
 
 from .lattice import (
     Family,
-    _check_ground as _check_family_ground,
+    _check_ground,
     _json_int,
     all_masks,
     canonical_order,
@@ -24,7 +24,8 @@ from .lattice import (
     submasks,
     supermasks,
 )
-from .posets import Embedding, PosetPattern, find_copy, standard_poset, _search_embedding
+from .posets import (Embedding, PosetPattern, _check_mode, _search_embedding, find_copy,
+                     standard_poset)
 
 
 class ColoringError(ValueError):
@@ -37,8 +38,7 @@ class Coloring:
     __slots__ = ("ground", "total", "items", "_map", "_classes")
 
     def __init__(self, ground: int, assignment, total: bool = False):
-        if ground < 0 or ground > 63:
-            raise ColoringError(f"bad ground {ground}")
+        _check_ground(ground)
         pairs = assignment.items() if isinstance(assignment, dict) else list(assignment)
         color_of = dict(pairs)
         if len(color_of) != len(pairs):
@@ -202,8 +202,7 @@ def find_pattern(col: Coloring, pattern: PosetPattern, mode: str = "weak",
     Returns (Embedding, color) for mono, (Embedding, colors tuple) for
     rainbow, or None.  Deterministic first witness in canonical order.
     """
-    if mode not in ("weak", "strong"):
-        raise ColoringError(f"mode must be weak or strong, got {mode!r}")
+    _check_mode(mode)
     if chromatic == "mono":
         for c in range(col.num_colors):
             emb = find_copy(col.class_family(c), pattern, mode)
@@ -259,7 +258,8 @@ def validate_witness(col: Coloring, p: PosetPattern, q: PosetPattern,
                      mode_p: str = "weak", mode_q: str = "weak") -> WitnessVerdict:
     """Certify col against the (P, Q) problem: look for a monochromatic
     copy of P and a rainbow copy of Q; avoided means col is a lower-bound
-    witness at its ground size."""
+    witness at its ground size.  Both modes are checked before searching."""
+    _check_mode(mode_q)   # find_pattern checks mode_p first
     mono = find_pattern(col, p, mode_p, "mono")
     rainbow = find_pattern(col, q, mode_q, "rainbow")
     return WitnessVerdict(mono, rainbow)
@@ -269,31 +269,17 @@ def validate_witness(col: Coloring, p: PosetPattern, q: PosetPattern,
 # constructions
 # ---------------------------------------------------------------------------
 
-# The most sets one construction colors.  Each construction computes its
-# count from its parameters and refuses a larger one before enumerating:
-# a 2^20-set coloring already takes seconds and hundreds of MiB.
+# The most sets one construction colors.  Each construction checks its
+# ground, then refuses a larger count, computed from its parameters,
+# before enumerating: a 2^20-set coloring takes seconds and 100s of MiB.
 _MAX_COLORED = 1 << 20
 
 
-def _check_count(kind, top, count):
-    """Refuse a construction whose count() sets are more than _MAX_COLORED,
-    given 2^top <= count().  Past top = 64 the exponent alone decides and
-    count(), an integer of about top bits, is not built; a count past 2^64
-    is written as a power of two."""
-    if top <= 64:
-        count = count()
-        if count <= _MAX_COLORED:
-            return
-        top = count.bit_length() - 1
-    size = count if top < 64 else f"at least 2^{top}"
-    raise ColoringError(f"{kind} would color {size} sets, more than the "
-                        f"{_MAX_COLORED} a construction may color")
-
-
-def _check_ground(n):
-    """Refuse n < 0 as Coloring does, before any 1 << n is evaluated."""
-    if n < 0:
-        raise ColoringError(f"bad ground {n}")
+def _check_count(kind, count):
+    """Refuse more than _MAX_COLORED sets; on a ground <= 63, count < 2^93."""
+    if count > _MAX_COLORED:
+        raise ColoringError(f"{kind} would color {count} sets, more than the "
+                            f"{_MAX_COLORED} a construction may color")
 
 
 def _level_blocks(n, parts):
@@ -328,7 +314,7 @@ def consecutive_level_coloring(n: int, parts) -> Coloring:
     parts = list(parts)
     if any(p < 1 for p in parts) or sum(parts) != n + 1:
         raise ColoringError(f"parts must be positive and sum to n+1, got {parts}")
-    _check_count("consecutive-level", n, lambda: 1 << n)
+    _check_count("consecutive-level", 1 << n)
     return _level_blocks(n, parts)
 
 
@@ -337,14 +323,14 @@ def trace_coloring(n: int, r_mask: int) -> Coloring:
     _check_ground(n)
     if r_mask >> n:
         raise ColoringError("trace set outside ground")
-    _check_count("trace", n, lambda: 1 << n)
+    _check_count("trace", 1 << n)
     return Coloring(n, [(m, (m & r_mask).bit_count()) for m in all_masks(n)], total=True)
 
 
 def level_coloring(n: int) -> Coloring:
     """The trivial coloring phi(F) = |F|."""
     _check_ground(n)
-    _check_count("level", n, lambda: 1 << n)
+    _check_count("level", 1 << n)
     return _level_blocks(n, [1] * (n + 1))
 
 
@@ -361,9 +347,10 @@ def rr_lower_coloring(e: int, q: int, f_tweak: int = 0) -> Coloring:
     if e < 1 or q < 2 or f_tweak not in (0, 1, 2):
         raise ColoringError(f"bad rr-lower parameters {(e, q, f_tweak)}")
     n = e * (q - 1) + f_tweak - 1
+    _check_ground(n)
     if n < 1:
         raise ColoringError("rr-lower needs e*(q-1)+f_tweak >= 2")
-    _check_count("rr-lower", n, lambda: 1 << n)
+    _check_count("rr-lower", 1 << n)
     # the empty set, and for f_tweak = 2 the full set, alone in a level block
     return _level_blocks(n, [1] * (f_tweak >= 1) + [e] * (q - 1) + [1] * (f_tweak == 2))
 
@@ -375,10 +362,11 @@ def f2_lower_coloring(n: int) -> Coloring:
     minus S.  Odd n >= 5: class 1 is the downset of S plus [n], class 2 the
     open subcube between S and [n].
     """
+    _check_ground(n)
     if n < 2 or (n % 2 == 1 and n < 5):
         raise ColoringError(f"f2-lower needs even n >= 2 or odd n >= 5, got {n}")
     # the downset of S and the upset of S less S, with [n] moved for odd n
-    _check_count("f2-lower", n - n // 2, lambda: (1 << n // 2) + (1 << n - n // 2) - 1)
+    _check_count("f2-lower", (1 << n // 2) + (1 << n - n // 2) - 1)
     return _chain_config_coloring(n, [(0, None, 0), (n // 2, 0, 0), (n, 1, 1 - n % 2)])
 
 
@@ -388,12 +376,13 @@ def g2_lower_coloring(n: int) -> Coloring:
 
     floor(n/sqrt2) is resolved exactly as the largest h with 2h^2 <= n^2.
     """
+    _check_ground(n)
     if n < 2:
         raise ColoringError("g2-lower needs n >= 2")
     h = isqrt(n * n // 2)
     assert 2 * h * h <= n * n < 2 * (h + 1) * (h + 1)
     # the empty set, the upset of H and the rest of the downset of H
-    _check_count("g2-lower", h, lambda: (1 << n - h) + (1 << h) - 1)
+    _check_count("g2-lower", (1 << n - h) + (1 << h) - 1)
     return _chain_config_coloring(n, [(0, None, 0), (h, 1, 0), (n, 0, 0)])
 
 
@@ -434,8 +423,7 @@ def fk_random_coloring(n: int, k: int, seed: int, max_draws: int = 10000):
         raise ColoringError(f"fk-random needs {k - 1} distinct centers of size {size}, "
                             f"but B_{n} has only {comb(n, size)}")
     # at most each center's downset and punctured upset
-    _check_count("fk-random", max(size, n - size),
-                 lambda: (k - 1) * ((1 << size) + (1 << n - size) - 1))
+    _check_count("fk-random", (k - 1) * ((1 << size) + (1 << n - size) - 1))
     cap = (26 * n) // 100  # |F_i & F_j| <= 0.26 n, resolved in integers
     rng = _random.Random(seed)
     centers = []
@@ -522,9 +510,9 @@ def thin_antichain(n: int) -> Family:
     A_{n-2} among the sets of levels 1..n-2 (find_copy); larger n use
     the two-step induction F -> {F + {n+1}} + {[n], {n+2}}.
     """
+    _check_ground(n)   # before the induction's n-bit masks
     if n < 4:
         raise ColoringError("thin_antichain needs n >= 4")
-    _check_family_ground(n)   # before the induction's n-bit masks
     m = 4 if n % 2 == 0 else 5
     pool = Family.make(m, (x for x in all_masks(m) if 1 <= x.bit_count() <= m - 2))
     base = find_copy(pool, standard_poset("antichain", m - 2), "strong", thin=True)

@@ -35,11 +35,10 @@ def are_comparable(a: int, b: int) -> bool:
 
 
 def mask_from_elements(elems, n: int) -> int:
-    """Elements are 1-based, per the usual [n] convention.  A ground past
-    MAX_GROUND is refused before any bit is set, so a huge element cannot
-    build a huge mask; a negative ground admits no element."""
-    if n > MAX_GROUND:
-        _check_ground(n)
+    """Elements are 1-based, per the usual [n] convention.  A ground
+    outside [0, MAX_GROUND] is refused before any bit is set, so a huge
+    element cannot build a huge mask."""
+    _check_ground(n)
     m = 0
     for e in elems:
         if not 1 <= e <= n:

@@ -50,6 +50,8 @@ class PosetPattern:
                     raise PosetError("leq must be antisymmetric")
                 if up[j] & ~row:
                     raise PosetError("leq must be transitive")
+        # the pairs i <= j: k for an antichain, k(k+1)/2 for a chain
+        object.__setattr__(self, "_related", sum(map(int.bit_count, up)))
 
     def less(self, i: int, j: int) -> bool:
         return i != j and self.leq[i][j]
@@ -58,10 +60,10 @@ class PosetPattern:
         return self.leq[i][j] or self.leq[j][i]
 
     def is_chain(self) -> bool:
-        return all(self.comparable(i, j) for i in range(self.size) for j in range(i))
+        return self._related == self.size * (self.size + 1) // 2
 
     def is_antichain(self) -> bool:
-        return not any(self.comparable(i, j) for i in range(self.size) for j in range(i))
+        return self._related == self.size
 
     def linear_extension(self) -> tuple:
         """Deterministic linear extension: repeatedly pop the smallest-index minimal element."""
@@ -173,6 +175,11 @@ def poset_by_name(name: str) -> PosetPattern:
     if kind is None:
         raise PosetError(f"cannot parse poset name {name!r}")
     return standard_poset(kind, int(m[2]))
+
+
+def _check_mode(mode):
+    if mode not in ("weak", "strong"):
+        raise PosetError(f"mode must be weak or strong, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -333,8 +340,7 @@ def find_copy(host: Family, pattern: PosetPattern, mode: str = "weak",
     Other patterns that are no antichain first go through _no_room, which
     refuses a host whose members have too few members below or above.
     """
-    if mode not in ("weak", "strong"):
-        raise PosetError(f"mode must be weak or strong, got {mode!r}")
+    _check_mode(mode)
     if pattern.size > len(host):
         return None
     if pattern.is_chain():

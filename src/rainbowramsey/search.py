@@ -25,7 +25,7 @@ from .lattice import all_masks, canonical_order, order_rows
 # lubell_interval is not called here; kept because the benchmark traces search.lubell_interval
 from .lubell import binom, lubell_interval
 from .colorings import Coloring, _chain_config_coloring, _rainbow_strong_antichain
-from .posets import PosetPattern, standard_poset, _search_embedding
+from .posets import PosetPattern, _check_mode, _search_embedding, standard_poset
 
 
 class SearchError(ValueError):
@@ -523,11 +523,6 @@ def _least_n(problem, method, n_cap, budget, avoiding):
                         details={"nodes": counter.nodes})
 
 
-def _check_mode(mode):
-    if mode not in ("weak", "strong"):
-        raise SearchError(f"mode must be weak or strong, got {mode!r}")
-
-
 def ramsey(patterns, mode: str = "weak", n_cap: int = 4,
            budget: int | None = 2_000_000, symmetry: bool = True) -> SearchResult:
     """Least n <= n_cap such that every k-coloring of B_n yields a
@@ -950,6 +945,10 @@ def _mass_tables(n):
     return scale, pts, _interior_table(n, pts, closed)
 
 
+# the largest n of two_color_partial_exact (and of a CLI --sweep end)
+TWO_COLOR_N_MAX = 40
+
+
 def two_color_partial_exact(n: int, objective: str = "size") -> SearchResult:
     """Exact F'(n,2) (objective "size") or G'(n,2) (objective "mass").
 
@@ -958,8 +957,8 @@ def two_color_partial_exact(n: int, objective: str = "size") -> SearchResult:
     chain point levels matter, so an exact scan / Pareto DP over level
     compositions settles the extremal value.
     """
-    if n < 1 or n > 40:
-        raise SearchError("two_color_partial_exact supports 1 <= n <= 40")
+    if not 1 <= n <= TWO_COLOR_N_MAX:
+        raise SearchError(f"two_color_partial_exact supports 1 <= n <= {TWO_COLOR_N_MAX}")
     if objective == "size":
         v, cfg = _two_color_size(n)
         witness = _chain_config_coloring(n, _size_chain_config(n, cfg)) if n <= 16 else None

@@ -227,6 +227,21 @@ def test_grid_refusals_before_any_bound(monkeypatch):
             inequality_grid(check, step)
 
 
+def test_empty_grid_refused_before_any_bound(monkeypatch):
+    # tech-a past step 1 has no alpha row: a report of -inf over no
+    # points would pass any <= 1e-12 test
+    def evaluated(*args):
+        raise AssertionError("bound evaluated")
+
+    monkeypatch.setattr(asymptotics, "_bound", evaluated)
+    for step in (1.0000001, 2.0, 10.0, 1e300):
+        with pytest.raises(AsymptoticsError, match="has no grid point"):
+            inequality_grid("tech-a", step)
+    monkeypatch.undo()
+    # step 1 still holds the one point (1/2, 0)
+    assert inequality_grid("tech-a", 1.0).points == 1
+
+
 def test_tech_c_argmax_on_balance_line():
     # the min is maximized where the two expressions cross: alpha = (1+beta)/2
     rep = inequality_grid("tech-c", 1e-3)

@@ -4,7 +4,7 @@ import time
 import warnings
 from math import comb
 
-from rainbowramsey import colorings, lubell, posets, search
+from rainbowramsey import cli, colorings, lubell, posets, search
 from rainbowramsey.cli import main
 from rainbowramsey.lattice import Family
 
@@ -421,17 +421,17 @@ def test_coloring_gen_capped_before_enumerating(capsys, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(colorings, "all_masks", enumerated)
-        for n in ("70", "30"):
-            assert main(["coloring", "gen", "--kind", "level", "--n", n]) == 1
-            assert "more than the 1048576" in capsys.readouterr().err
-        # counts of more than 4,300 digits, which Python refuses to print
-        for argv in (["--kind", "level", "--n", "20000"], ["--kind", "g2-lower", "--n", "100000"],
+        assert main(["coloring", "gen", "--kind", "level", "--n", "30"]) == 1
+        assert "more than the 1048576" in capsys.readouterr().err
+        # grounds past 63 are refused by the ground rule, before any count
+        # (one of more than 4,300 digits would not print)
+        for argv in (["--kind", "level", "--n", "70"], ["--kind", "level", "--n", "20000"],
+                     ["--kind", "g2-lower", "--n", "100000"],
                      ["--kind", "fk-random", "--n", "100000", "--k", "3", "--seed", "1"],
                      ["--kind", "rr-lower", "--e", "5000", "--q", "3"]):
             assert main(["coloring", "gen", *argv]) == 1, argv
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and "more than the 1048576" in err, argv
-            assert len(err) < 200, argv
+            assert err.startswith("error: ground size ") and "outside [0, 63]" in err, argv
     code, out = run_cli(capsys, "coloring", "gen", "--kind", "g2-lower", "--n", "20")
     assert code == 0 and sum(json.loads(out)["result"]["classes"]) == 16_447
 
@@ -462,6 +462,31 @@ def test_huge_ground_refused_before_any_mask(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(
             "error: ground size 1000000000000 outside [0, 63]"), argv
+
+
+def test_negative_ground_one_error_line(tmp_path, capsys):
+    # a construction and a FAM v1 file meet the same ground rule and line
+    path = tmp_path / "f.txt"
+    path.write_text("n=-1\n{}\n")
+    for argv in (["coloring", "gen", "--kind", "trace", "--n", "-1"],
+                 ["lubell", "--family", str(path)]):
+        assert main(argv) == 1, argv
+        assert _one_error_line(capsys) == "error: ground size -1 outside [0, 63]\n", argv
+
+
+def test_two_color_sweep_past_cap_refused_before_any_row(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "two_color_partial_exact", lambda *a: calls.append(a))
+    assert main(["two-color", "--n", "25", "--sweep", "41", "--objective", "mass"]) == 1
+    assert "--sweep must be <= 40, got 41" in _one_error_line(capsys)
+    assert calls == []
+
+
+def test_inequalities_empty_grid_refused(capsys):
+    # tech-a past step 1 has no alpha row; -inf would not be JSON
+    for step in ("1.5", "10"):
+        assert main(["inequalities", "--check", "tech-a", "--step", step]) == 1, step
+        assert f"tech-a at step {float(step)!r} has no grid point" in _one_error_line(capsys)
 
 
 def test_constants_refuses_k_max_past_cap(capsys):

@@ -8,15 +8,19 @@ import pytest
 from rainbowramsey.lattice import (
     Family,
     LatticeError,
+    RegionSpec,
     all_masks,
     are_comparable,
     canonical_key,
     full_mask,
     is_subset,
+    mask_from_elements,
+    region,
 )
 from rainbowramsey.lubell import lubell_mass
 from rainbowramsey.corechain import comparability
-from rainbowramsey.posets import PosetPattern, _search_embedding, poset_by_name, standard_poset
+from rainbowramsey.posets import (PosetError, PosetPattern, _search_embedding, poset_by_name,
+                                  standard_poset)
 from rainbowramsey.colorings import (
     Coloring,
     ColoringError,
@@ -169,29 +173,27 @@ def test_constructions_capped_before_enumerating(monkeypatch):
 
     for name in ("all_masks", "submasks", "supermasks", "find_copy"):
         monkeypatch.setattr(colorings, name, enumerated)
-    refused = [lambda: level_coloring(21), lambda: level_coloring(70),
+    refused = [lambda: level_coloring(21),
                lambda: consecutive_level_coloring(21, [11, 11]),
                lambda: trace_coloring(25, 0b101), lambda: rr_lower_coloring(21, 2, 1),
                lambda: f2_lower_coloring(39), lambda: g2_lower_coloring(29),
                lambda: g2_lower_coloring(36), lambda: fk_random_coloring(40, 3, seed=1),
-               # counts past 2^64, more than 4,300 digits for the larger ones
-               lambda: f2_lower_coloring(10**6), lambda: g2_lower_coloring(100_000),
-               lambda: fk_random_coloring(100_000, 3, seed=1), lambda: rr_lower_coloring(5000, 3)]
+               lambda: fk_random_coloring(63, 2**40 + 1, seed=1)]
     for build in refused:
         with pytest.raises(ColoringError, match="more than the 1048576"):
             build()
-    # a count past 2^64 is written as a power of two, one below as it is
     with pytest.raises(ColoringError, match=r"^level would color 2097152 sets"):
         level_coloring(21)
-    with pytest.raises(ColoringError, match=r"^f2-lower would color at least 2\^500000 sets"):
-        f2_lower_coloring(10**6)
-    with pytest.raises(ColoringError, match=r"^fk-random would color at least 2\^92 sets"):
-        fk_random_coloring(64, 2**40 + 1, seed=1)
-    # a thin antichain past a ground of 63 is refused as Family.make
-    # refuses it, before its base is searched and its masks grow
-    for n in (64, 200_000):
-        with pytest.raises(LatticeError, match=f"^ground size {n} outside"):
-            thin_antichain(n)
+    # a ground past 63 is refused by the ground rule before any count,
+    # and a thin antichain before its base is searched and its masks grow
+    for build, n in ((lambda: level_coloring(70), 70), (lambda: f2_lower_coloring(10**6), 10**6),
+                     (lambda: g2_lower_coloring(100_000), 100_000),
+                     (lambda: fk_random_coloring(100_000, 3, seed=1), 100_000),
+                     (lambda: fk_random_coloring(64, 2**40 + 1, seed=1), 64),
+                     (lambda: rr_lower_coloring(5000, 3), 9999),
+                     (lambda: thin_antichain(64), 64), (lambda: thin_antichain(200_000), 200_000)):
+        with pytest.raises(LatticeError, match=rf"^ground size {n} outside \[0, 63\]$"):
+            build()
     # the largest admitted ones reach the enumeration
     admitted = [lambda: level_coloring(20), lambda: rr_lower_coloring(20, 2, 1),
                 lambda: f2_lower_coloring(38), lambda: g2_lower_coloring(28),
@@ -202,12 +204,47 @@ def test_constructions_capped_before_enumerating(monkeypatch):
 
 
 def test_constructions_refuse_negative_ground():
-    # refused as Coloring refuses it, before any 1 << n is evaluated
+    # refused by the one ground rule, before any 1 << n is evaluated
     for build in (lambda: level_coloring(-1), lambda: trace_coloring(-1, 0),
                   lambda: consecutive_level_coloring(-1, []),
                   lambda: fk_random_coloring(-1, 3, seed=1)):
-        with pytest.raises(ColoringError, match="^bad ground -1$"):
+        with pytest.raises(LatticeError, match=r"^ground size -1 outside \[0, 63\]$"):
             build()
+
+
+def test_every_entry_point_refuses_a_bad_ground_first(monkeypatch):
+    # one rule, lattice._check_ground, with one message and class, before
+    # any set is enumerated and before any input set is read
+    from rainbowramsey import colorings, lattice
+
+    def enumerated(*args, **kwargs):
+        raise AssertionError("sets enumerated")
+
+    def unread():
+        raise AssertionError("input read")
+        yield
+
+    for module, names in ((colorings, ("all_masks", "submasks", "supermasks", "find_copy")),
+                          (lattice, ("all_masks", "submasks"))):
+        for name in names:
+            monkeypatch.setattr(module, name, enumerated)
+    for n in (-1, 64, 10**6):
+        builds = [lambda: Coloring(n, unread()), lambda: thin_antichain(n),
+                  lambda: Family.make(n, unread()), lambda: region(RegionSpec("full"), n),
+                  lambda: mask_from_elements(unread(), n)]
+        kinds = {"consecutive-level": {"n": n, "parts": [1]}, "trace": {"n": n, "r_mask": 0},
+                 "level": {"n": n}, "f2-lower": {"n": n}, "g2-lower": {"n": n},
+                 "fk-random": {"n": n, "k": 3}}
+        if n > 0:
+            # rr-lower derives n = e*(q-1) + f_tweak - 1, never -1 from
+            # admitted parameters
+            kinds["rr-lower"] = {"e": n + 1, "q": 2}
+        builds += [lambda kind=kind, params=params: generate(kind, params, seed=1)
+                   for kind, params in kinds.items()]
+        for build in builds:
+            with pytest.raises(LatticeError, match=rf"^ground size {n} outside \[0, 63\]$"):
+                build()
+
 
 def test_find_pattern_spec_examples():
     c2 = poset_by_name("C2")
@@ -245,9 +282,9 @@ def test_find_pattern_refuses_unknown_mode():
     c2, a3 = poset_by_name("C2"), poset_by_name("A3")
     col = level_coloring(3)
     for chromatic in ("mono", "rainbow"):
-        with pytest.raises(ColoringError, match="weak or strong"):
+        with pytest.raises(PosetError, match="weak or strong"):
             find_pattern(col, a3, "bogus", chromatic)
-    with pytest.raises(ColoringError, match="weak or strong"):
+    with pytest.raises(PosetError, match="weak or strong"):
         validate_witness(col, c2, a3, "weak", "bogus")
 
 

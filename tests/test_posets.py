@@ -152,6 +152,29 @@ def test_pattern_twins():
         assert poset_by_name(name)._plan[3] == twin, name
 
 
+def test_chain_and_antichain_flags_match_pairwise_definition():
+    # is_chain / is_antichain compare one count of related pairs, taken
+    # at validation, with k(k+1)/2 and k; the reference is the pairwise
+    # definition, on the standard patterns and seeded random orders of 0
+    # to 7 elements
+    rng = random.Random(30)
+    pats = list(STANDARD_SIX)
+    for k in range(8):
+        for density in (0.0, 0.2, 0.5, 0.8, 1.0):
+            for _ in range(5):
+                pairs = [(i, j) for i in range(k) for j in range(i + 1, k)
+                         if rng.random() < density]
+                pats.append(_relabeled(_closure_pattern(k, pairs), rng))
+    seen = set()
+    for p in pats:
+        pairs = [(i, j) for i in range(p.size) for j in range(i)]
+        chain = all(p.comparable(i, j) for i, j in pairs)
+        antichain = not any(p.comparable(i, j) for i, j in pairs)
+        assert (p.is_chain(), p.is_antichain()) == (chain, antichain), p.leq
+        seen.add((chain, antichain))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_pattern_validation():
     with pytest.raises(PosetError):
         PosetPattern(2, ((True, True), (True, True)))  # not antisymmetric

@@ -14,6 +14,7 @@ from rainbowramsey.lattice import Family, all_masks, canonical_key, is_subset, o
 from rainbowramsey.lubell import binom
 from rainbowramsey.corechain import comparability
 from rainbowramsey.posets import (
+    PosetError,
     _search_embedding,
     find_copy,
     find_copy_naive,
@@ -608,14 +609,36 @@ def test_ramsey_strong_mode():
 
 def test_ramsey_refuses_unknown_mode():
     for mode in ("wek", "Strong", ""):
-        with pytest.raises(SearchError, match="weak or strong"):
+        with pytest.raises(PosetError, match="weak or strong"):
             ramsey([V2, V2], mode, 4)
 
 
 def test_rainbow_ramsey_refuses_unknown_mode():
     for mode in ("Strong", "wek"):
-        with pytest.raises(SearchError, match="weak or strong"):
+        with pytest.raises(PosetError, match="weak or strong"):
             rainbow_ramsey(C2, A3, mode, 5)
+
+
+def test_bad_mode_one_message_from_every_caller(monkeypatch):
+    # posets._check_mode serves find_copy, find_pattern, validate_witness,
+    # ramsey and rainbow_ramsey; validate_witness checks both modes before
+    # its mono search
+    from rainbowramsey import colorings
+
+    def searched(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(colorings, "find_copy", searched)
+    col = Coloring(1, [(0, 0), (1, 1)], total=True)
+    calls = [lambda m: find_copy(Family.whole_cube(2), C2, m),
+             lambda m: find_pattern(col, C2, m, "mono"),
+             lambda m: find_pattern(col, C2, m, "rainbow"),
+             lambda m: validate_witness(col, C2, A3, m, "weak"),
+             lambda m: validate_witness(col, C2, A3, "weak", m),
+             lambda m: ramsey([C2], m, 2), lambda m: rainbow_ramsey(C2, A3, m, 2)]
+    for call in calls:
+        with pytest.raises(PosetError, match=r"^mode must be weak or strong, got 'bogus'$"):
+            call("bogus")
 
 
 def test_rainbow_ramsey_strong_mode_with_partition_cross_check():
