@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .lattice import Family, mask_from_elements
 from .lubell import lubell_mass, lubell_subcube, maxpart_identity_residual
-from .posets import poset_by_name
+from .posets import MODES, poset_by_name
 from .corechain import core_chain, validate_core_chain
 from .colorings import Coloring, generate, thin_antichain, validate_witness
 from .search import (
@@ -276,14 +276,14 @@ def _build_parser():
     p = sub.add_parser("ramsey", parents=[common, budget, n_cap])
     p.add_argument("--p", action="append", required=True,
                    help="poset name (repeat per color), e.g. --p C3 --p C3")
-    p.add_argument("--mode", choices=("weak", "strong"), default="weak")
+    p.add_argument("--mode", choices=MODES, default="weak")
     p.add_argument("--no-symmetry", action="store_true")
     p.set_defaults(handler=_cmd_ramsey)
 
     p = sub.add_parser("rainbow", parents=[common, budget, n_cap])
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--mode", choices=("weak", "strong"), default="weak")
+    p.add_argument("--mode", choices=MODES, default="weak")
     p.add_argument("--no-symmetry", action="store_true")
     p.set_defaults(handler=_cmd_rainbow)
 
@@ -337,9 +337,9 @@ def _build_parser():
     c.add_argument("--coloring", default="-", help="COL v1 / JSON coloring file, - for stdin")
     c.add_argument("--p", required=True)
     c.add_argument("--q", required=True)
-    c.add_argument("--mode", choices=("weak", "strong"), default="weak")
-    c.add_argument("--mode-p", choices=("weak", "strong"))
-    c.add_argument("--mode-q", choices=("weak", "strong"))
+    c.add_argument("--mode", choices=MODES, default="weak")
+    c.add_argument("--mode-p", choices=MODES)
+    c.add_argument("--mode-q", choices=MODES)
     c.set_defaults(handler=_cmd_coloring_check)
 
     p = sub.add_parser("thin-antichain", parents=[common])

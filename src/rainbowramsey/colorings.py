@@ -150,11 +150,11 @@ class Coloring:
 # pattern checkers
 # ---------------------------------------------------------------------------
 
-def _rainbow_strong_antichain(classes, row, k):
+def _rainbow_strong_antichain(classes, rows, k):
     """k pairwise related positions from k distinct classes, or None.
 
     classes is a list of nonempty bitsets of positions, one per color in
-    color order; row(i) is the bitset of the positions related to
+    color order; rows[i] is the bitset of the positions related to
     position i: incomparable to it for a rainbow antichain, comparable to
     it for a rainbow chain.  Color-major backtracking, scarcest class
     first (ties in color order; one candidate per chosen class, classes
@@ -183,7 +183,7 @@ def _rainbow_strong_antichain(classes, row, k):
             cand ^= low
             i = low.bit_length() - 1
             chosen.append(i)
-            if rec(pos + 1, allowed & row(i), skips_left):
+            if rec(pos + 1, allowed & rows[i], skips_left):
                 return True
             chosen.pop()
         if skips_left > 0 and rec(pos + 1, allowed, skips_left - 1):
@@ -193,6 +193,64 @@ def _rainbow_strong_antichain(classes, row, k):
     if rec(0, -1, ncolors - k):
         return tuple(chosen)
     return None
+
+
+def _supported_classes(classes, rows, k):
+    """The classes that can hold a member of k pairwise related positions
+    from k distinct classes, in their order, or None when fewer than k
+    of them remain.
+
+    A class is dropped when none of its members has a related member
+    (rows[i], as in _rainbow_strong_antichain) in k - 1 other remaining
+    classes.  Every member of an answer has its k - 1 partners in classes
+    that are kept too, so a dropped class holds no part of one, and the
+    kernel's scarcest-first search over the rest meets the same first
+    answer.  Classes are scanned smallest first, each from the member
+    that supported it last time (the members before it stay unsupported,
+    as classes only go) up to the first supported member; a pass repeats
+    while a class dropped after another was kept in it.
+    """
+    live = sorted(range(len(classes)), key=lambda c: classes[c].bit_count())
+    unscanned = list(classes)
+    again = True
+    while again and len(live) >= k:
+        again = kept = False
+        for c in list(live):
+            if len(live) < k:
+                break
+            others = [classes[d] for d in live if d != c]
+            spare = len(others) - (k - 1)   # the other classes a member may miss
+            bits = unscanned[c]
+            while bits:
+                low = bits & -bits
+                row = rows[low.bit_length() - 1]
+                if [b & row for b in others].count(0) <= spare:
+                    break
+                bits ^= low
+            unscanned[c] = bits
+            if bits:
+                kept = True
+            else:
+                live.remove(c)
+                again = kept   # a class kept earlier in this pass may have counted c
+    if len(live) < k:
+        return None
+    return [classes[c] for c in sorted(live)]
+
+
+class _IncomparableRows(dict):
+    """rows[i]: the members incomparable to member i, built on first use."""
+
+    def __init__(self, members):
+        super().__init__()
+        self.members = members
+        self.up, self.down = order_rows(members)
+        self.everyone = (1 << len(members)) - 1
+
+    def __missing__(self, i):
+        x = self.members[i]
+        row = self[i] = self.everyone & ~(self.up(x) | self.down(x))
+        return row
 
 
 def find_pattern(col: Coloring, pattern: PosetPattern, mode: str = "weak",
@@ -218,19 +276,9 @@ def find_pattern(col: Coloring, pattern: PosetPattern, mode: str = "weak",
         classes = [0] * col.num_colors
         for i, (_, c) in enumerate(col.items):
             classes[c] |= 1 << i
-        up, down = order_rows(members)
-        everyone = (1 << len(members)) - 1
-        inc = {}
-
-        def inc_row(i):
-            """The members incomparable to member i, built on first use."""
-            row = inc.get(i)
-            if row is None:
-                x = members[i]
-                row = inc[i] = everyone & ~(up(x) | down(x))
-            return row
-
-        chosen = _rainbow_strong_antichain(classes, inc_row, k)
+        rows = _IncomparableRows(members)
+        live = _supported_classes(classes, rows, k)
+        chosen = None if live is None else _rainbow_strong_antichain(live, rows, k)
         if chosen is None:
             return None
         images = tuple(members[i] for i in sorted(chosen))

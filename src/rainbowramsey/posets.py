@@ -177,9 +177,13 @@ def poset_by_name(name: str) -> PosetPattern:
     return standard_poset(kind, int(m[2]))
 
 
+# the copy modes every API call and CLI mode flag accepts
+MODES = ("weak", "strong")
+
+
 def _check_mode(mode):
-    if mode not in ("weak", "strong"):
-        raise PosetError(f"mode must be weak or strong, got {mode!r}")
+    if mode not in MODES:
+        raise PosetError(f"mode must be {' or '.join(MODES)}, got {mode!r}")
 
 
 @dataclass(frozen=True)

@@ -440,7 +440,7 @@ def _avoiding(n, patterns, mode, counter, symmetry, q=None):
                 return _rainbow_pair(classes, used[t] + 1, c, window_x, rows)
             others = [b for d in range(used[t] + 1)
                       if d != c and (b := classes[d].bits & window_x)]
-            return _rainbow_strong_antichain(others, rows.__getitem__, q_size - 1) is not None
+            return _rainbow_strong_antichain(others, rows, q_size - 1) is not None
 
     t = 0
     c = None   # the next color to try at t; None on arrival at t

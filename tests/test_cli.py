@@ -506,3 +506,24 @@ def test_constants_refuses_non_finite_tol(capsys):
     for tol in ("nan", "inf"):
         assert main(["constants", "--k-max", "3", "--tol", tol]) == 1
         assert "tol must be finite" in capsys.readouterr().err
+
+
+def test_mode_flags_read_the_one_mode_list(capsys):
+    # the five --mode / --mode-p / --mode-q flags take posets.MODES, the list
+    # posets._check_mode reads; a bad mode stays a usage error
+    import argparse
+
+    def flags(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from flags(sub)
+            elif action.dest in ("mode", "mode_p", "mode_q"):
+                yield action
+
+    modes = list(flags(cli._build_parser()))
+    assert len(modes) == 5 and all(a.choices is posets.MODES for a in modes)
+    for argv in (["rainbow", "--p", "C2", "--q", "A3", "--mode", "Strong"],
+                 ["coloring", "check", "--p", "C2", "--q", "A3", "--mode-q", "Strong"]):
+        assert main(argv) == 1, argv
+        assert "invalid choice: 'Strong'" in _one_error_line(capsys)

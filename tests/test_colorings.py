@@ -25,6 +25,9 @@ from rainbowramsey.colorings import (
     Coloring,
     ColoringError,
     FkMeta,
+    _IncomparableRows,
+    _rainbow_strong_antichain,
+    _supported_classes,
     consecutive_level_coloring,
     f2_lower_coloring,
     find_pattern,
@@ -526,11 +529,86 @@ def test_rainbow_antichain_pinned_tuples():
           for e, q, f in ((2, 4, 0), (3, 3, 0), (2, 5, 0), (3, 4, 0), (2, 4, 1), (2, 4, 2),
                           (3, 3, 2), (4, 3, 0), (2, 6, 0))]
     assert fk[-1] == [(1, 4, 8), None]  # fk-random k=4 on B_11: no rainbow strong A4
+    # and on B_12..B_14: the same A3 tuple, no rainbow strong A4
+    assert [found(fk_random_coloring(n, 4, 321)[0], (3, 4)) for n in (12, 13, 14)] \
+        == [[(1, 4, 8), None]] * 3
     assert level[0] == [(1, 6, 26), (1, 6, 26), None]
     assert _antichain_digest(seeded) == "052f274ea045c23e"
     assert _antichain_digest(fk) == "157e0b94a8bc5ae9"
     assert _antichain_digest(level) == "2a477105f13c9343"
     assert _antichain_digest(rr) == "4d5af7523ec13573"
+
+
+def _position_classes(col):
+    classes = [0] * col.num_colors
+    for i, (_, c) in enumerate(col.items):
+        classes[c] |= 1 << i
+    return classes
+
+
+def _bare_kernel(col, k):
+    """The image tuple the kernel returns on every class, without the pre-check."""
+    chosen = _rainbow_strong_antichain(_position_classes(col), _IncomparableRows(col.members), k)
+    return None if chosen is None else tuple(col.members[i] for i in sorted(chosen))
+
+
+def _naive_supported(classes, rows, k):
+    """Drop every unsupported class at once, round after round, until none is."""
+    live = list(range(len(classes)))
+    while True:
+        keep = [c for c in live
+                if any(sum(1 for d in live if d != c and classes[d] & rows[i]) >= k - 1
+                       for i in range(classes[c].bit_length()) if classes[c] >> i & 1)]
+        if keep == live:
+            return None if len(live) < k else [classes[c] for c in live]
+        live = keep
+
+
+def test_supported_classes_keep_the_kernel_tuple():
+    # dropping the classes that cannot hold part of a rainbow strong A_k
+    # leaves find_pattern's tuple the one the kernel finds on every class,
+    # and the classes kept are those a round-by-round removal keeps
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        items = [(m, rng.randrange(rng.randint(1, 6))) for m in all_masks(n) if rng.random() < 0.7]
+        cases += [(Coloring(n, items), k) for k in range(6)]
+    cases += [(fk_random_coloring(n, 3, 1000 + n)[0], k) for n in range(8, 15) for k in (2, 3)]
+    cases += [(fk_random_coloring(n, 4, 321)[0], k) for n in range(8, 14) for k in (3, 4)]
+    cases += [(level_coloring(k + 1), j) for k in range(4, 10) for j in (3, k - 1, k)]
+    cases += [(rr_lower_coloring(e, q, f), j)
+              for e, q, f in ((2, 4, 0), (3, 3, 0), (2, 5, 0), (3, 4, 0), (2, 4, 1), (2, 4, 2),
+                              (3, 3, 2), (4, 3, 0), (2, 6, 0))
+              for j in (q - 1, q)]
+    # one position per class, related along x-y, x-p, p-q, q-r, p-r: x is
+    # kept until y, related to x alone, is dropped after it in the pass
+    rows = [0b00110, 0b00001, 0b11001, 0b10100, 0b01100]
+    assert _supported_classes([1, 2, 4, 8, 16], rows, 3) == [4, 8, 16]
+    assert _naive_supported([1, 2, 4, 8, 16], rows, 3) == [4, 8, 16]
+    dropped = 0
+    for col, k in cases:
+        assert _rainbow_antichain(col, k) == _bare_kernel(col, k), (col.ground, col.items, k)
+        classes = _position_classes(col)
+        rows = _IncomparableRows(col.members)
+        live = _supported_classes(classes, rows, k)
+        assert live == _naive_supported(classes, rows, k), (col.ground, col.items, k)
+        dropped += live is None or len(live) < len(classes)
+    assert dropped > 300
+
+
+def test_fk_absence_proved_before_the_kernel(monkeypatch):
+    # every member of the top class lies above all of some center's class,
+    # so the pre-check drops it and no 4 classes remain
+    from rainbowramsey import colorings
+
+    calls = []
+    kernel = colorings._rainbow_strong_antichain
+    monkeypatch.setattr(colorings, "_rainbow_strong_antichain",
+                        lambda *args: calls.append(args) or kernel(*args))
+    col = fk_random_coloring(14, 4, 321)[0]
+    assert _rainbow_antichain(col, 4) is None and calls == []
+    assert _rainbow_antichain(col, 3) == (1, 4, 8) and len(calls) == 1
 
 
 def test_construction_colorings_pinned():

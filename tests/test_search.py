@@ -792,7 +792,7 @@ def test_anchored_rainbow_check_matches_unanchored():
                 color[x] = c
                 # the kernel call _avoiding makes: positions are masks
                 others = [b for d in range(ncolors) if d != c and (b := class_bits[d] & window[x])]
-                through = _rainbow_strong_antichain(others, rows.__getitem__, k - 1)
+                through = _rainbow_strong_antichain(others, rows, k - 1)
                 if kind == "antichain":
                     whole = find_pattern(Coloring(n, list(color.items())),
                                          standard_poset("antichain", k), "strong", "rainbow")
@@ -835,7 +835,7 @@ def test_rainbow_pair_matches_generic_kernels():
         # the antichain residual: the sets incomparable to x, by class
         parts = [class_bits[d] & inc[x] for d in range(ncolors) if d != c]
         got = _rainbow_pair(classes, ncolors, c, inc[x], inc)
-        assert got == (_rainbow_strong_antichain([b for b in parts if b], inc.__getitem__, 2)
+        assert got == (_rainbow_strong_antichain([b for b in parts if b], inc, 2)
                        is not None)
         outcomes["antichain"][got] += 1
         # the chain residual: the colored strict subsets of x outside its class
