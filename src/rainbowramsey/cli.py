@@ -143,6 +143,10 @@ def _cmd_fork(args):
 def _cmd_lubell(args):
     if args.subcube is None and args.family is None:
         raise _UsageError("lubell needs --family or --subcube")
+    if args.subcube is not None and args.family is not None:
+        raise _UsageError("lubell takes --family or --subcube, not both")
+    if args.residual and args.family is None:
+        raise _UsageError("--residual needs --family")
     if args.subcube:
         n, a, b = args.subcube
         if n > _SUBCUBE_N_MAX:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from math import comb, isqrt
+from operator import and_, or_
 
 from .lattice import (
     Family,
@@ -195,47 +197,32 @@ def _rainbow_strong_antichain(classes, rows, k):
     return None
 
 
-def _supported_classes(classes, rows, k):
-    """The classes that can hold a member of k pairwise related positions
-    from k distinct classes, in their order, or None when fewer than k
-    of them remain.
+def _supported_classes(classes, k):
+    """The colors whose classes can hold a member of a rainbow strong A_k,
+    in color order, or None when fewer than k remain.
 
-    A class is dropped when none of its members has a related member
-    (rows[i], as in _rainbow_strong_antichain) in k - 1 other remaining
-    classes.  Every member of an answer has its k - 1 partners in classes
-    that are kept too, so a dropped class holds no part of one, and the
-    kernel's scarcest-first search over the rest meets the same first
-    answer.  Classes are scanned smallest first, each from the member
-    that supported it last time (the members before it stay unsupported,
-    as classes only go) up to the first supported member; a pass repeats
-    while a class dropped after another was kept in it.
+    classes[c] holds the masks of color c.  A member x counts another class
+    d unless all of d lies below x (the union of d's masks is inside x) or
+    above it (x is inside their intersection).  Each round drops every class
+    none of whose members counts k - 1 other live classes.  A count is never
+    below the number of live classes holding a set incomparable to x, so a
+    dropped class holds no member of any rainbow strong A_k, the kept
+    classes include those an exact support check keeps, and the kernel's
+    stable scarcest-first search over them meets its first answer on all.
     """
-    live = sorted(range(len(classes)), key=lambda c: classes[c].bit_count())
-    unscanned = list(classes)
-    again = True
-    while again and len(live) >= k:
-        again = kept = False
-        for c in list(live):
-            if len(live) < k:
-                break
-            others = [classes[d] for d in live if d != c]
-            spare = len(others) - (k - 1)   # the other classes a member may miss
-            bits = unscanned[c]
-            while bits:
-                low = bits & -bits
-                row = rows[low.bit_length() - 1]
-                if [b & row for b in others].count(0) <= spare:
-                    break
-                bits ^= low
-            unscanned[c] = bits
-            if bits:
-                kept = True
-            else:
-                live.remove(c)
-                again = kept   # a class kept earlier in this pass may have counted c
-    if len(live) < k:
-        return None
-    return [classes[c] for c in sorted(live)]
+    spans = [(reduce(or_, masks), reduce(and_, masks)) for masks in classes]
+    live = list(range(len(classes)))
+    while len(live) >= k:
+        kept = []
+        for c in live:
+            others = [spans[d] for d in live if d != c]
+            if any(sum(1 for u, i in others if u & ~x and x & ~i) >= k - 1
+                   for x in classes[c]):
+                kept.append(c)
+        if kept == live:
+            return live
+        live = kept
+    return None
 
 
 class _IncomparableRows(dict):
@@ -273,12 +260,14 @@ def find_pattern(col: Coloring, pattern: PosetPattern, mode: str = "weak",
     members = col.members
     if mode == "strong" and pattern.is_antichain():
         k = pattern.size
+        live = _supported_classes(list(col._classes.values()), k)
+        if live is None:
+            return None
         classes = [0] * col.num_colors
         for i, (_, c) in enumerate(col.items):
             classes[c] |= 1 << i
-        rows = _IncomparableRows(members)
-        live = _supported_classes(classes, rows, k)
-        chosen = None if live is None else _rainbow_strong_antichain(live, rows, k)
+        chosen = _rainbow_strong_antichain([classes[c] for c in live],
+                                           _IncomparableRows(members), k)
         if chosen is None:
             return None
         images = tuple(members[i] for i in sorted(chosen))

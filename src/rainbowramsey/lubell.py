@@ -5,6 +5,7 @@ All masses are fractions.Fraction; nothing here is ever rounded.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -25,10 +26,9 @@ def lubell_mass(fam: Family) -> Fraction:
 
 def lubell_mass_in(ground: int, masks) -> Fraction:
     """Lubell mass of a plain mask iterable measured inside B_ground."""
-    total = Fraction(0)
-    for m in masks:
-        total += Fraction(1, binom(ground, m.bit_count()))
-    return total
+    per_level = Counter(m.bit_count() for m in masks)
+    return sum((Fraction(count, binom(ground, size)) for size, count in per_level.items()),
+               Fraction(0))
 
 
 def lubell_subcube(n: int, a: int, b: int) -> Fraction:

@@ -335,6 +335,18 @@ def test_missing_inputs_are_usage_errors(capsys):
     assert "needs --family or --subcube" in capsys.readouterr().err
 
 
+def test_lubell_refuses_flags_it_would_ignore(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    path.write_text("n=3\n1\n")
+    for argv, message in ((["--subcube", "4", "1", "1", "--family", "/nonexistent", "--residual"],
+                           "takes --family or --subcube, not both"),
+                          (["--subcube", "4", "1", "1", "--family", str(path)],
+                           "takes --family or --subcube, not both"),
+                          (["--subcube", "4", "1", "1", "--residual"], "--residual needs --family")):
+        assert main(["lubell", *argv]) == 1, argv
+        assert message in _one_error_line(capsys), argv
+
+
 def _one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith(("usage error: ", "error: ")) and err.count("\n") == 1, err

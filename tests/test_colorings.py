@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -567,7 +568,7 @@ def _naive_supported(classes, rows, k):
 def test_supported_classes_keep_the_kernel_tuple():
     # dropping the classes that cannot hold part of a rainbow strong A_k
     # leaves find_pattern's tuple the one the kernel finds on every class,
-    # and the classes kept are those a round-by-round removal keeps
+    # and the classes kept include those a round-by-round exact removal keeps
     rng = random.Random(4242)
     cases = []
     for _ in range(300):
@@ -581,20 +582,42 @@ def test_supported_classes_keep_the_kernel_tuple():
               for e, q, f in ((2, 4, 0), (3, 3, 0), (2, 5, 0), (3, 4, 0), (2, 4, 1), (2, 4, 2),
                               (3, 3, 2), (4, 3, 0), (2, 6, 0))
               for j in (q - 1, q)]
-    # one position per class, related along x-y, x-p, p-q, q-r, p-r: x is
-    # kept until y, related to x alone, is dropped after it in the pass
-    rows = [0b00110, 0b00001, 0b11001, 0b10100, 0b01100]
-    assert _supported_classes([1, 2, 4, 8, 16], rows, 3) == [4, 8, 16]
-    assert _naive_supported([1, 2, 4, 8, 16], rows, 3) == [4, 8, 16]
+    # one set per class, incomparable along x-y, x-p, p-q, q-r, p-r: x is
+    # kept in the first round and dropped in the second, after y, which
+    # is incomparable to x alone
+    x, y, p, q, r = 0b0001, 0b0010, 0b1110, 0b0111, 0b1011
+    assert _supported_classes([(x,), (y,), (p,), (q,), (r,)], 3) == [2, 3, 4]
+    col = Coloring(4, [(x, 0), (y, 1), (p, 2), (q, 3), (r, 4)])   # renamed x, y, q, r, p
+    classes = _position_classes(col)
+    assert _naive_supported(classes, _IncomparableRows(col.members), 3) == classes[2:]
     dropped = 0
     for col, k in cases:
         assert _rainbow_antichain(col, k) == _bare_kernel(col, k), (col.ground, col.items, k)
         classes = _position_classes(col)
-        rows = _IncomparableRows(col.members)
-        live = _supported_classes(classes, rows, k)
-        assert live == _naive_supported(classes, rows, k), (col.ground, col.items, k)
+        live = _supported_classes(list(col.classes().values()), k)
+        exact = _naive_supported(classes, _IncomparableRows(col.members), k)
+        if exact is not None:
+            assert live is not None and set(exact) <= {classes[c] for c in live}, \
+                (col.ground, col.items, k)
         dropped += live is None or len(live) < len(classes)
     assert dropped > 300
+
+
+def test_dropped_classes_hold_no_rainbow_antichain():
+    # every rainbow strong A_k, found by trying each k members and testing
+    # each pair with are_comparable, takes its colors from the kept classes
+    rng = random.Random(2718)
+    for _ in range(150):
+        n = rng.randint(0, 4)
+        items = [(m, rng.randrange(rng.randint(1, 6))) for m in all_masks(n) if rng.random() < 0.7]
+        col = Coloring(n, items)
+        for k in range(1, 6):
+            live = set(_supported_classes(list(col.classes().values()), k) or ())
+            for combo in itertools.combinations(col.members, k):
+                if (len({col.color(m) for m in combo}) == k
+                        and not any(are_comparable(a, b)
+                                    for i, a in enumerate(combo) for b in combo[:i])):
+                    assert {col.color(m) for m in combo} <= live, (n, items, combo)
 
 
 def test_fk_absence_proved_before_the_kernel(monkeypatch):
@@ -609,6 +632,24 @@ def test_fk_absence_proved_before_the_kernel(monkeypatch):
     col = fk_random_coloring(14, 4, 321)[0]
     assert _rainbow_antichain(col, 4) is None and calls == []
     assert _rainbow_antichain(col, 3) == (1, 4, 8) and len(calls) == 1
+
+
+def test_absence_proved_without_rows(monkeypatch):
+    # when the class filter leaves fewer than k classes, find_pattern
+    # builds neither an incomparability row nor an order_rows table
+    from rainbowramsey import colorings
+
+    built = []
+    monkeypatch.setattr(colorings, "order_rows", lambda *a: built.append("order_rows"))
+    monkeypatch.setattr(colorings, "_IncomparableRows", lambda *a: built.append("rows"))
+    decided = [(fk_random_coloring(n, 3, 1000 + n)[0], 3) for n in range(8, 15)]
+    decided += [(fk_random_coloring(n, 4, 321)[0], 4) for n in range(8, 15)]
+    decided += [(f2_lower_coloring(n), 2) for n in range(2, 15) if n % 2 == 0 or n >= 5]
+    decided += [(g2_lower_coloring(n), 2) for n in range(2, 15)]
+    decided += [(rr_lower_coloring(e, q, f), q) for e in (2, 3) for q in (3, 4) for f in (1, 2)]
+    for col, k in decided:
+        assert _rainbow_antichain(col, k) is None, (col.ground, k)
+    assert built == []
 
 
 def test_construction_colorings_pinned():

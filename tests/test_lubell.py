@@ -41,6 +41,15 @@ def test_mass_of_extremes():
     assert lubell_mass(Family.make(6, [0, (1 << 6) - 1])) == 2
 
 
+def test_mass_is_one_term_per_member():
+    # the per-level count gives the literal sum of 1 / C(n, |F|) over members
+    rng = random.Random(77)
+    for n in range(11):
+        fam = Family.make(n, (m for m in all_masks(n) if rng.random() < 0.4))
+        assert lubell_mass(fam) == sum((Fraction(1, comb(n, m.bit_count())) for m in fam.members),
+                                       Fraction(0)), n
+
+
 def test_subcube_closed_form_examples():
     assert lubell_subcube(4, 1, 1) == Fraction(5, 6)
     for n in (3, 6, 9):
