@@ -1,8 +1,9 @@
 """Command-line surface: every subcommand emits a result body plus a run
-manifest (command line, seed, version, wall time, digest of the result).
+manifest (command line, version, wall time, digest of the result, and the
+seed drawn by `coloring gen --kind fk-random`, the one run that draws any).
 
-Replaying the same argv and seed reproduces a byte-identical result body;
-only the manifest's timestamp and wall time differ.  Exit codes: 0 on
+Replaying the same argv reproduces a byte-identical result body; only the
+manifest's timestamp and wall time differ.  Exit codes: 0 on
 success, 2 when a search exhausted its budget (partial result still
 emitted), 1 on usage errors.
 """
@@ -182,7 +183,7 @@ _GEN_FLAGS = {
     "rr-lower": {"e": 1, "q": 2, "f_tweak": 0},
     "f2-lower": {"n": 0},
     "g2-lower": {"n": 0},
-    "fk-random": {"n": 0, "k": 2},
+    "fk-random": {"n": 0, "k": 2, "seed": 20250811},
 }
 _GEN_OPTIONS = list(dict.fromkeys(name for flags in _GEN_FLAGS.values() for name in flags))
 
@@ -203,6 +204,8 @@ def _cmd_coloring_gen(args):
         r_set = params.pop("r_set")
         elems = [int(x) for x in r_set.split(",")] if r_set else []
         params["r_mask"] = mask_from_elements(elems, params["n"])
+    # the manifest records the seed drawn, and only fk-random draws one
+    args.seed = params.pop("seed", None)
     out = generate(args.kind, params, seed=args.seed)
     col = out[0] if isinstance(out, tuple) else out
     body = {"coloring": json.loads(col.to_json()), "kind": args.kind,
@@ -266,7 +269,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the result file here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=20250811)
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=_BUDGET,
                         help="node cap for exhaustive searches")
@@ -336,6 +338,7 @@ def _build_parser():
     g.add_argument("--q", type=int, help="rr-lower (default 2)")
     g.add_argument("--f-tweak", type=int, help="rr-lower (default 0)")
     g.add_argument("--k", type=int, help="fk-random (default 2)")
+    g.add_argument("--seed", type=int, help="fk-random (default 20250811)")
     g.set_defaults(handler=_cmd_coloring_gen)
     c = csub.add_parser("check", parents=[common])
     c.add_argument("--coloring", default="-", help="COL v1 / JSON coloring file, - for stdin")
@@ -372,12 +375,13 @@ def _emit(args, body, rows, started):
     result_text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     manifest = {
         "command": list(args._argv),
-        "seed": args.seed,
         "version": __version__,
         "wall_time_s": round(time.time() - started, 3),
         "result_digest": hashlib.sha256(result_text.encode()).hexdigest(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    if getattr(args, "seed", None) is not None:
+        manifest["seed"] = args.seed
     if args.format == "csv":
         buf = io.StringIO()
         if rows:

@@ -515,7 +515,7 @@ def fk_class_size_bound(meta: FkMeta) -> int:
     return (1 << (meta.l + meta.n // 2)) - (meta.k - 2) * (1 << ceil_cap)
 
 
-# dispatch table used by generate() and the CLI
+# one if-chain over the kinds; the CLI keeps its own flag table, _GEN_FLAGS
 def generate(kind: str, params: dict, seed=None):
     """Build a named construction; returns a Coloring (fk-random also
     returns its metadata)."""

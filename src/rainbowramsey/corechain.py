@@ -4,13 +4,15 @@ A core chain for pairwise disjoint families F_1..F_l in B_n is a chain
 0 = S_0 <= S_1 <= ... <= S_m = [n] whose closed subcubes B_{S_j,S_{j+1}}
 cover every family member while each open (truncated) subcube meets at
 most one family.  Mutually comparable families always have one; the
-constructive recursion below is deterministic.
+constructive loop below is deterministic.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .lattice import Family, LatticeError, canonical_order, full_mask, is_subset, set_repr, submasks
 
@@ -77,10 +79,14 @@ class CoreChain:
 def core_chain(fams) -> CoreChain:
     """Build a core chain for mutually comparable, pairwise disjoint families.
 
-    Recursion: take the maximum-size member F below the current top
-    (ties: smallest bitmask), keep the members of its family not covered
-    by other families, intersect them to get the next chain point, and
-    recurse below it.  Deterministic by construction.
+    One loop from [n] down: drop the members equal to the top, take the
+    family of the largest remaining member (ties: smallest bitmask), keep
+    its members that contain the union of the other families' remaining
+    members, and meet the top with them for the next chain point.  Every
+    cross-family pair is nested, so those are exactly its members below
+    no member of another family.  Only they can lie strictly between the
+    new point and the top, so that block's owner is the family when one
+    of them differs from the new point, else None.  Deterministic.
     """
     ground = _check_inputs(fams)
     bad = _cross_pair(fams, False)
@@ -89,44 +95,25 @@ def core_chain(fams) -> CoreChain:
         raise CoreChainError(
             f"families {i} and {j} are not mutually comparable: "
             f"{set_repr(a)} vs {set_repr(b)}")
-
-    def rec(member_lists, top):
-        # sets equal to top are covered as the chain endpoint and drop out
-        lists = [[m for m in ms if m != top] for ms in member_lists]
-        pool = [(m, idx) for idx, ms in enumerate(lists) for m in ms]
-        if not pool:
-            return [0, top] if top != 0 else [0]
-        f_big, fam_idx = max(pool, key=lambda t: (t[0].bit_count(), -t[0]))
-        others = [m for idx, ms in enumerate(lists) if idx != fam_idx for m in ms]
-        kept = {m for m in lists[fam_idx] if not any(is_subset(m, h) for h in others)}
-        s = top
-        for m in kept:
-            s &= m
-        next_lists = []
-        for idx, ms in enumerate(lists):
-            if idx == fam_idx:
-                ms = [m for m in ms if m not in kept]
-            for m in ms:
-                if not is_subset(m, s):
-                    raise CoreChainError("recursion invariant broken: member escapes new top")
-            next_lists.append(ms)
-        return rec(next_lists, s) + [top]
-
-    chain = rec([list(f.members) for f in fams], full_mask(ground))
-    owner_of = {}
-    for idx, fam in enumerate(fams):
-        for m in fam.members:
-            owner_of[m] = idx
-    owners = []
-    for j in range(len(chain) - 1):
-        lo, hi = chain[j], chain[j + 1]
-        block_owner = None
-        for m, idx in owner_of.items():
-            if m != lo and m != hi and is_subset(lo, m) and is_subset(m, hi):
-                block_owner = idx
-                break
-        owners.append(block_owner)
-    return CoreChain(ground, tuple(chain), tuple(owners))
+    top = full_mask(ground)
+    chain, owners = [top], []
+    # sets equal to a chain point are covered by it and drop out
+    lists = [[m for m in f.members if m != top] for f in fams]
+    while any(lists):
+        _, fam_idx = max(((m, idx) for idx, ms in enumerate(lists) for m in ms),
+                         key=lambda t: (t[0].bit_count(), -t[0]))
+        union = reduce(or_, (m for idx, ms in enumerate(lists) if idx != fam_idx for m in ms), 0)
+        kept = {m for m in lists[fam_idx] if is_subset(union, m)}
+        top = reduce(and_, kept, top)
+        lists = [[m for m in ms if m != top and m not in kept] for ms in lists]
+        if any(not is_subset(m, top) for ms in lists for m in ms):
+            raise CoreChainError("core chain invariant broken: member escapes new top")
+        chain.append(top)
+        owners.append(fam_idx if kept - {top} else None)
+    if top:
+        chain.append(0)
+        owners.append(None)
+    return CoreChain(ground, tuple(reversed(chain)), tuple(reversed(owners)))
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def maxpart_identity_residual(fam: Family, mode: str = "enumerate") -> Fraction:
         lambda_n(F) - sum_F |C_{n,F}| / n! * lambda_{|F|}(D_F cap F),
 
     which is exactly zero for every family.  Uses direct chain
-    enumeration by default (ground <= 8).
+    enumeration by default, which `max_partition` caps at ground 10.
 
     With N_F(k) members of size k below F and m = |F|, each term is
     |C_{n,F}| * N_F(k) * k! (m-k)! * (n!/m!) / n!^2, so the right-hand
@@ -71,8 +71,6 @@ def maxpart_identity_residual(fam: Family, mode: str = "enumerate") -> Fraction:
     residual.
     """
     n = fam.ground
-    if mode == "enumerate" and n > 8:
-        raise LatticeError(f"residual check by enumeration capped at n=8, got {n}")
     part = max_partition(fam, mode=mode)
     fact = [factorial(i) for i in range(n + 1)]
     nfact = fact[n]

@@ -539,3 +539,30 @@ def test_mode_flags_read_the_one_mode_list(capsys):
                  ["coloring", "check", "--p", "C2", "--q", "A3", "--mode-q", "Strong"]):
         assert main(argv) == 1, argv
         assert "invalid choice: 'Strong'" in _one_error_line(capsys)
+
+
+def test_seed_read_by_fk_random_alone(capsys):
+    # only coloring gen --kind fk-random draws, so only it takes --seed
+    for argv in (["ramsey", "--p", "C2", "--p", "C2", "--seed", "1"],
+                 ["two-color", "--n", "4", "--seed", "1"],
+                 ["coloring", "check", "--p", "C2", "--q", "A2", "--seed", "1"],
+                 ["repro", "subcube-mass", "--seed", "1"]):
+        assert main(argv) == 1, argv
+        assert "unrecognized arguments: --seed 1" in _one_error_line(capsys), argv
+    assert main(["coloring", "gen", "--kind", "g2-lower", "--n", "4", "--seed", "1"]) == 1
+    assert "--kind g2-lower does not read --seed" in _one_error_line(capsys)
+    # the default is the seed every run drew before (the digest is the body
+    # it gave then), and the manifest records the seed drawn and no seed
+    # elsewhere
+    digests = []
+    for seed in (None, "20250811", "321"):
+        argv = ["coloring", "gen", "--kind", "fk-random", "--n", "10"]
+        _, out = run_cli(capsys, *argv, *(["--seed", seed] if seed else []))
+        manifest = json.loads(out)["manifest"]
+        assert manifest["seed"] == int(seed or 20250811), seed
+        digests.append(manifest["result_digest"])
+    assert digests[0] == digests[1] != digests[2]
+    assert digests[0] == "c009df6f20cb45b8bb526616bc9538c6cea982cbbe88d8163c441b91bee6e687"
+    for argv in (["coloring", "gen", "--kind", "g2-lower", "--n", "4"], ["two-color", "--n", "4"]):
+        _, out = run_cli(capsys, *argv)
+        assert "seed" not in json.loads(out)["manifest"], argv

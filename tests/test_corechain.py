@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rainbowramsey.colorings import f2_lower_coloring, g2_lower_coloring
 from rainbowramsey.lattice import Family, full_mask, is_subset
 from rainbowramsey.corechain import (
     CoreChain,
@@ -96,3 +97,50 @@ def test_core_chain_json_round_trip():
     # rebuild it (the corechain CLI body is this JSON plus "valid")
     obj = json.loads(cc.to_json())
     assert CoreChain(3, tuple(obj["chain"]), tuple(obj["owners"])) == cc
+
+
+def _recursive_core_chain(fams):
+    """Reference construction: recurse below each chain point, keep the
+    chosen family's members below no member of another family by a subset
+    scan against each, and find each block's owner by a rescan of every
+    member."""
+    def rec(member_lists, top):
+        lists = [[m for m in ms if m != top] for ms in member_lists]
+        pool = [(m, idx) for idx, ms in enumerate(lists) for m in ms]
+        if not pool:
+            return [0, top] if top != 0 else [0]
+        _, fam_idx = max(pool, key=lambda t: (t[0].bit_count(), -t[0]))
+        others = [m for idx, ms in enumerate(lists) if idx != fam_idx for m in ms]
+        kept = {m for m in lists[fam_idx] if not any(is_subset(m, h) for h in others)}
+        s = top
+        for m in kept:
+            s &= m
+        lists[fam_idx] = [m for m in lists[fam_idx] if m not in kept]
+        return rec(lists, s) + [top]
+
+    ground = fams[0].ground
+    chain = rec([list(f.members) for f in fams], full_mask(ground))
+    owner_of = {m: idx for idx, fam in enumerate(fams) for m in fam.members}
+    owners = []
+    for lo, hi in zip(chain, chain[1:]):
+        owners.append(next((idx for m, idx in owner_of.items()
+                            if m != lo and m != hi and is_subset(lo, m) and is_subset(m, hi)),
+                           None))
+    return CoreChain(ground, tuple(chain), tuple(owners))
+
+
+def test_core_chain_matches_the_recursive_construction():
+    rng = random.Random(2033)
+    cases = []
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        cases.append(random_comparable_pair(n, rng, l=rng.randint(1, 4)))
+    for n in (2, *range(4, 15)):
+        for col in (f2_lower_coloring(n), g2_lower_coloring(n)):
+            cases.append([col.class_family(c) for c in range(col.num_colors)])
+    owned = 0
+    for fams in cases:
+        cc = core_chain(fams)
+        assert cc == _recursive_core_chain(fams), [list(f.members) for f in fams]
+        owned += any(o is not None for o in cc.block_owner)
+    assert owned > 1000

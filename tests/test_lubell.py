@@ -145,3 +145,11 @@ def test_k_lym_bound_on_chain_free_families():
             assert lubell_mass(fam) <= k
             checked += 1
     assert checked > 20
+
+
+def test_residual_enumeration_capped_where_max_partition_is():
+    # one cap for the chain walk: max_partition's, n <= 10
+    fam = Family.make(9, [0b11, 0b1011, 0b110001011, 0b111111111])
+    assert maxpart_identity_residual(fam) == maxpart_identity_residual(fam, "dp") == 0
+    with pytest.raises(LatticeError, match="enumeration mode capped at n=10, got 11"):
+        maxpart_identity_residual(Family.make(11, [0b1]))
